@@ -10,7 +10,7 @@ Only packets passing both gates ever contend for decoders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..phy.channels import Channel, overlap_ratio
 from ..phy.interference import DETECTION_MIN_OVERLAP
@@ -18,7 +18,7 @@ from ..phy.link import noise_floor_dbm
 from ..phy.lora import SNR_THRESHOLD_DB
 from ..types import Observation, Transmission
 
-__all__ = ["Detection", "match_rx_channel", "detect"]
+__all__ = ["Detection", "RxChannels", "match_rx_channel", "detect"]
 
 
 @dataclass(frozen=True)
@@ -36,18 +36,26 @@ class Detection:
         return self.observation.transmission
 
 
-def match_rx_channel(
+class RxChannels(Tuple[Channel, ...]):
+    """A receive-channel sequence that memoizes :func:`match_rx_channel`.
+
+    The front-end match depends only on the packet channel, the channel
+    sequence (its order breaks overlap ties) and ``min_overlap``, so a
+    gateway answers it once per distinct packet channel instead of once
+    per observation.  The memo lives and dies with the sequence:
+    :meth:`Gateway.configure <repro.gateway.gateway.Gateway.configure>`
+    builds a new one.  Otherwise it is an ordinary tuple.
+    """
+
+    def __init__(self, channels: Iterable[Channel] = ()) -> None:
+        self.matches: Dict[Tuple[float, float, float], Optional[Channel]] = {}
+
+
+def _best_match(
     packet_channel: Channel,
     rx_channels: Sequence[Channel],
-    min_overlap: float = DETECTION_MIN_OVERLAP,
+    min_overlap: float,
 ) -> Optional[Channel]:
-    """Find the receive channel (if any) that passes this packet.
-
-    Returns the configured channel with the highest spectral overlap,
-    provided the overlap reaches ``min_overlap``; otherwise ``None`` —
-    the front-end truncates the signal and the packet is invisible to
-    the rest of the pipeline.
-    """
     best: Optional[Channel] = None
     best_overlap = 0.0
     for rx in rx_channels:
@@ -57,6 +65,30 @@ def match_rx_channel(
     if best is not None and best_overlap >= min_overlap:
         return best
     return None
+
+
+def match_rx_channel(
+    packet_channel: Channel,
+    rx_channels: Sequence[Channel],
+    min_overlap: float = DETECTION_MIN_OVERLAP,
+) -> Optional[Channel]:
+    """Find the receive channel (if any) that passes this packet.
+
+    Returns the configured channel with the highest spectral overlap
+    (the first one on ties), provided the overlap reaches
+    ``min_overlap``; otherwise ``None`` — the front-end truncates the
+    signal and the packet is invisible to the rest of the pipeline.
+    Answers for an :class:`RxChannels` sequence come from its memo.
+    """
+    if not isinstance(rx_channels, RxChannels):
+        return _best_match(packet_channel, rx_channels, min_overlap)
+    key = (packet_channel.center_hz, packet_channel.bandwidth_hz, min_overlap)
+    try:
+        return rx_channels.matches[key]
+    except KeyError:
+        found = _best_match(packet_channel, rx_channels, min_overlap)
+        rx_channels.matches[key] = found
+        return found
 
 
 def detect(

@@ -10,6 +10,7 @@ packets consume decoder resources before being discarded.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,21 +18,31 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, phase_timed
-from ..phy.channels import Channel, overlap_hz
+from ..phy.channels import Channel
 from ..phy.interference import Interferer, decode_ok
+from ..phy.lora import SpreadingFactor
 from ..phy.link import Position, noise_floor_dbm
-from ..types import Observation, Transmission, time_overlap_s
+from ..types import Observation, Transmission
 from .decoder import DecoderPool
-from .detector import Detection, detect, match_rx_channel
+from .detector import Detection, RxChannels, detect, match_rx_channel
 from .dispatcher import FcfsDispatcher
 from .models import GatewayModel, get_model
 
 __all__ = ["Outcome", "GatewayReception", "Gateway"]
 
+# One interference-index row per observation, precomputed once per
+# batch: (tx, start_s, end_s, low_hz, high_hz, rssi_dbm, sf, channel,
+# network_id).  Rows sort by start_s (then by position in the batch).
+_Row = Tuple[
+    Transmission, float, float, float, float, float,
+    SpreadingFactor, Channel, int,
+]
+_TimeIndex = Dict[int, Tuple[List[_Row], List[float], float]]
 
-def _obs_start_s(obs: Observation) -> float:
+
+def _row_start_s(row: _Row) -> float:
     """Sort key for the interference time index (hoisted: hot path)."""
-    return obs.transmission.start_s
+    return row[1]
 
 
 class Outcome(Enum):
@@ -104,7 +115,7 @@ class Gateway:
         self.model = model or get_model()
         self.noise_figure_db = noise_figure_db
         self.collision_resilient = collision_resilient
-        self._channels: Tuple[Channel, ...] = ()
+        self._channels = RxChannels()
         self.configure(channels)
         self.pool = DecoderPool(self.model.decoders)
         self.pool.trace_gateway_id = gateway_id
@@ -137,7 +148,7 @@ class Gateway:
                 f"{self.model.name} receive spectrum of "
                 f"{self.model.rx_spectrum_hz / 1e6:.2f} MHz"
             )
-        self._channels = chans
+        self._channels = RxChannels(chans)
 
     def reboot(self) -> None:
         """Reboot the gateway (clears the decoder pool); counted for latency."""
@@ -159,57 +170,76 @@ class Gateway:
     @classmethod
     def _build_time_index(
         cls, observations: Sequence[Observation]
-    ) -> Dict[int, Tuple[List[Observation], List[float], float]]:
+    ) -> _TimeIndex:
         """Index observations by frequency bucket and start time.
 
         Keeps the scaled-operation scenarios (tens of thousands of
         packets) near linear: interference lookups scan only
-        time-adjacent packets in frequency-adjacent buckets.
+        time-adjacent packets in frequency-adjacent buckets.  Each row
+        carries the packet's time span and passband edges, so the scan
+        compares floats instead of re-deriving them per candidate.
         """
-        buckets: Dict[int, List[Observation]] = {}
+        buckets: Dict[int, List[_Row]] = {}
         for obs in observations:
-            key = int(obs.transmission.channel.center_hz // cls._BUCKET_HZ)
-            buckets.setdefault(key, []).append(obs)
-        index: Dict[int, Tuple[List[Observation], List[float], float]] = {}
-        for key, group in buckets.items():
-            group.sort(key=_obs_start_s)
-            starts = [_obs_start_s(o) for o in group]
-            max_airtime = max(o.transmission.airtime_s for o in group)
-            index[key] = (group, starts, max_airtime)
+            tx = obs.transmission
+            channel = tx.channel
+            key = int(channel.center_hz // cls._BUCKET_HZ)
+            row: _Row = (
+                tx, tx.start_s, tx.end_s, channel.low_hz, channel.high_hz,
+                obs.rssi_dbm, tx.sf, channel, tx.network_id,
+            )
+            buckets.setdefault(key, []).append(row)
+        index: _TimeIndex = {}
+        for key, rows in buckets.items():
+            rows.sort(key=_row_start_s)
+            starts = [row[1] for row in rows]
+            max_airtime = max(row[0].airtime_s for row in rows)
+            index[key] = (rows, starts, max_airtime)
         return index
 
     def _interferers_for(
-        self,
-        det: Detection,
-        index: Dict[int, Tuple[List[Observation], List[float], float]],
+        self, det: Detection, index: _TimeIndex
     ) -> List[Interferer]:
-        """Concurrent transmissions adding energy into ``det``'s passband."""
-        from bisect import bisect_left, bisect_right
+        """Concurrent transmissions adding energy into ``det``'s passband.
 
+        A candidate counts when it overlaps ``det`` both in time and in
+        frequency.  ``min(ends) <= max(starts)`` is the exact negation
+        of :func:`~repro.types.time_overlap_s` being positive (for
+        finite floats ``x - y <= 0`` holds exactly when ``x <= y``), and
+        likewise for the passband edges and
+        :func:`~repro.phy.channels.overlap_hz`.
+        """
         me = det.tx
-        center_key = int(me.channel.center_hz // self._BUCKET_HZ)
+        me_start, me_end = me.start_s, me.end_s
+        channel = me.channel
+        me_low, me_high = channel.low_hz, channel.high_hz
+        me_net = me.network_id
+        center_key = int(channel.center_hz // self._BUCKET_HZ)
         interferers: List[Interferer] = []
         for key in (center_key - 1, center_key, center_key + 1):
             entry = index.get(key)
             if entry is None:
                 continue
-            ordered, starts, max_airtime = entry
-            lo = bisect_left(starts, me.start_s - max_airtime)
-            hi = bisect_right(starts, me.end_s)
-            for obs in ordered[lo:hi]:
-                other = obs.transmission
-                if other is me:
+            rows, starts, max_airtime = entry
+            lo = bisect_left(starts, me_start - max_airtime)
+            hi = bisect_right(starts, me_end)
+            for tx, start, end, low, high, rssi, sf, chan, net in rows[lo:hi]:
+                if tx is me:
                     continue
-                if time_overlap_s(me, other) <= 0.0:
+                if (end if end < me_end else me_end) <= (
+                    start if start > me_start else me_start
+                ):
                     continue
-                if overlap_hz(me.channel, other.channel) <= 0.0:
+                if (high if high < me_high else me_high) <= (
+                    low if low > me_low else me_low
+                ):
                     continue
                 interferers.append(
                     Interferer(
-                        rssi_dbm=obs.rssi_dbm,
-                        sf=other.sf,
-                        channel=other.channel,
-                        same_network=other.network_id == me.network_id,
+                        rssi_dbm=rssi,
+                        sf=sf,
+                        channel=chan,
+                        same_network=net == me_net,
                     )
                 )
         return interferers

@@ -1,7 +1,7 @@
 """Process-local observability state shared by every instrumented module.
 
 Instrumented hot paths (decoder pool, dispatcher, engine) are written
-against four module-level slots that default to ``None``:
+against six module-level slots that default to ``None``:
 
 * :data:`TRACE` — the active :class:`~repro.obs.recorder.TraceRecorder`
 * :data:`METRICS` — the active :class:`~repro.obs.metrics.MetricsRegistry`

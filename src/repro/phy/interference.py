@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..obs import runtime as _obs
 from .channels import Channel, overlap_ratio
@@ -98,6 +98,17 @@ def sf_isolation_db(
     return CO_SF_CAPTURE_DB - capture_threshold_db(desired, interferer)
 
 
+# sf_isolation_db for every (desired, interferer) pair, looked up by the
+# per-interferer loop below instead of re-validating both enums per call.
+_SF_ISOLATION_DB: Dict[SpreadingFactor, Dict[SpreadingFactor, float]] = {
+    desired: {
+        interferer: sf_isolation_db(desired, interferer)
+        for interferer in SpreadingFactor
+    }
+    for desired in SpreadingFactor
+}
+
+
 def overlap_rejection_db(overlap: float) -> float:
     """Channel-filter rejection for a partially overlapping interferer.
 
@@ -141,6 +152,33 @@ def _mw_to_dbm(mw: float) -> float:
     return 10.0 * math.log10(mw)
 
 
+def _noise_and_captures(
+    noise_dbm: float,
+    desired_sf: SpreadingFactor,
+    desired_channel: Channel,
+    interferers: Iterable[Interferer],
+) -> Tuple[float, List[float]]:
+    """:func:`effective_noise_mw`, plus the RSSIs of co-SF interferers
+    on an (almost) aligned channel — the true collisions that
+    :func:`decode_ok` checks for capture.
+
+    One pass computes each interferer's :func:`overlap_ratio` once and
+    sums the isolation-weighted powers in input order.
+    """
+    isolation_db = _SF_ISOLATION_DB[SpreadingFactor(desired_sf)]
+    total = _dbm_to_mw(noise_dbm)
+    captures: List[float] = []
+    for intf in interferers:
+        ov = overlap_ratio(desired_channel, intf.channel)
+        if ov <= 0.0:
+            continue
+        isolation = overlap_rejection_db(ov) + isolation_db[intf.sf]
+        total += _dbm_to_mw(intf.rssi_dbm - isolation)
+        if ov >= DETECTION_MIN_OVERLAP and intf.sf == desired_sf:
+            captures.append(intf.rssi_dbm)
+    return total, captures
+
+
 def effective_noise_mw(
     noise_dbm: float,
     desired_sf: SpreadingFactor,
@@ -154,16 +192,9 @@ def effective_noise_mw(
     noise floor.  This additive model produces the smooth reception
     threshold shifts measured in the paper's Figure 16.
     """
-    total = _dbm_to_mw(noise_dbm)
-    for intf in interferers:
-        ov = overlap_ratio(desired_channel, intf.channel)
-        if ov <= 0.0:
-            continue
-        isolation = overlap_rejection_db(ov) + sf_isolation_db(
-            desired_sf, intf.sf
-        )
-        total += _dbm_to_mw(intf.rssi_dbm - isolation)
-    return total
+    return _noise_and_captures(
+        noise_dbm, desired_sf, desired_channel, interferers
+    )[0]
 
 
 def sinr_db(
@@ -202,13 +233,12 @@ def decode_ok(
         # phase; items tally the signals folded into the decision.
         probe.count("phy.decode", 1 + len(interferers))
     sf = SpreadingFactor(desired_sf)
-    if sinr_db(rssi_dbm, noise_dbm, sf, desired_channel, interferers) < (
-        SNR_THRESHOLD_DB[sf]
-    ):
+    noise_mw, captures = _noise_and_captures(
+        noise_dbm, sf, desired_channel, interferers
+    )
+    if rssi_dbm - _mw_to_dbm(noise_mw) < SNR_THRESHOLD_DB[sf]:
         return False
-    for intf in interferers:
-        ov = overlap_ratio(desired_channel, intf.channel)
-        if ov >= DETECTION_MIN_OVERLAP and not orthogonal(sf, intf.sf):
-            if rssi_dbm - intf.rssi_dbm < CO_SF_CAPTURE_DB:
-                return False
+    for intf_rssi_dbm in captures:
+        if rssi_dbm - intf_rssi_dbm < CO_SF_CAPTURE_DB:
+            return False
     return True

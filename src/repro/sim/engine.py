@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
-from ..gateway.detector import detect
+from ..gateway.detector import RxChannels, detect, match_rx_channel
 from ..gateway.gateway import Gateway, GatewayReception, Outcome
 from ..obs import runtime as _obs
 from ..obs.events import EventType
@@ -224,7 +224,7 @@ class OnlineSimulator(Simulator):
         )
 
         # Timeline state.
-        channels = list(gw.channels)
+        channels = gw.channels
         offline_until = float("-inf")
         pending_idx = 0
 
@@ -252,7 +252,9 @@ class OnlineSimulator(Simulator):
                 if st_timeline is not None:
                     st_timeline.end(None)  # count-only: events are rare
                 if ev.channels is not None:
-                    channels = list(ev.channels)
+                    # Detection keeps the event's channel order (it
+                    # breaks overlap ties); the gateway stores it sorted.
+                    channels = RxChannels(ev.channels)
                     gw.configure(channels)
                 if ev.decoders is not None:
                     gw.pool.resize(ev.decoders)
@@ -316,8 +318,6 @@ class OnlineSimulator(Simulator):
                     snr_db=det.snr_db,
                 )
             if det is None:
-                from ..gateway.detector import match_rx_channel
-
                 outcome = (
                     Outcome.CHANNEL_MISMATCH
                     if match_rx_channel(tx.channel, channels) is None

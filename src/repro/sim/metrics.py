@@ -16,16 +16,18 @@ the paper uses when dissecting operational logs:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
 from ..gateway.gateway import Outcome
 from ..phy.channels import Channel, overlap_ratio
 from ..phy.interference import DETECTION_MIN_OVERLAP
-from ..types import Transmission, time_overlap_s
+from ..types import Transmission
 from .simulator import SimulationResult
 
 __all__ = [
@@ -57,48 +59,80 @@ class LossCause(Enum):
     OTHER = "other"
 
 
+# One collision-index row per transmission: (tx, start_s, end_s,
+# low_hz, high_hz, bandwidth_hz, network_id).
+_CollisionRow = Tuple[Transmission, float, float, float, float, float, int]
+
+
 class CollisionIndex:
     """Time-sorted, frequency-bucketed index of co-SF collision partners.
 
     Built once per result so classifying thousands of losses stays
-    near-linear instead of quadratic.
+    near-linear instead of quadratic.  Rows carry each packet's time
+    span and passband edges, so a lookup compares floats instead of
+    re-deriving them per candidate.
     """
 
     _BUCKET_HZ = 200_000.0
 
     def __init__(self, transmissions: Sequence[Transmission]) -> None:
-        self._buckets: Dict[Tuple[int, int], Tuple[List[Transmission], List[float], float]] = {}
-        grouped: Dict[Tuple[int, int], List[Transmission]] = {}
+        self._buckets: Dict[
+            Tuple[int, int], Tuple[List[_CollisionRow], List[float], float]
+        ] = {}
+        grouped: Dict[Tuple[int, int], List[_CollisionRow]] = {}
         for tx in transmissions:
-            key = (int(tx.channel.center_hz // self._BUCKET_HZ), int(tx.sf))
-            grouped.setdefault(key, []).append(tx)
-        for key, group in grouped.items():
-            group.sort(key=lambda t: t.start_s)
-            starts = [t.start_s for t in group]
-            max_airtime = max(t.airtime_s for t in group)
-            self._buckets[key] = (group, starts, max_airtime)
+            channel = tx.channel
+            key = (int(channel.center_hz // self._BUCKET_HZ), int(tx.sf))
+            grouped.setdefault(key, []).append(
+                (
+                    tx, tx.start_s, tx.end_s, channel.low_hz,
+                    channel.high_hz, channel.bandwidth_hz, tx.network_id,
+                )
+            )
+        by_start = itemgetter(1)
+        for key, rows in grouped.items():
+            rows.sort(key=by_start)
+            starts = [row[1] for row in rows]
+            max_airtime = max(row[0].airtime_s for row in rows)
+            self._buckets[key] = (rows, starts, max_airtime)
 
     def interferer_networks(self, tx: Transmission) -> List[int]:
-        """Networks of co-SF, co-channel, time-overlapping packets."""
-        from bisect import bisect_left, bisect_right
+        """Networks of co-SF, co-channel, time-overlapping packets.
 
-        center = int(tx.channel.center_hz // self._BUCKET_HZ)
+        "Co-channel" means an :func:`overlap_ratio` of at least
+        :data:`DETECTION_MIN_OVERLAP`.  The time test runs first (it is
+        the cheaper one); ``min(ends) <= max(starts)`` is exactly
+        :func:`~repro.types.time_overlap_s` being zero.
+        """
+        channel = tx.channel
+        me_start, me_end = tx.start_s, tx.end_s
+        me_low, me_high = channel.low_hz, channel.high_hz
+        me_bw = channel.bandwidth_hz
+        center = int(channel.center_hz // self._BUCKET_HZ)
         nets: List[int] = []
         for bucket in (center - 1, center, center + 1):
             entry = self._buckets.get((bucket, int(tx.sf)))
             if entry is None:
                 continue
-            group, starts, max_airtime = entry
-            lo = bisect_left(starts, tx.start_s - max_airtime)
-            hi = bisect_right(starts, tx.end_s)
-            for other in group[lo:hi]:
+            rows, starts, max_airtime = entry
+            lo = bisect_left(starts, me_start - max_airtime)
+            hi = bisect_right(starts, me_end)
+            for other, start, end, low, high, bw, net in rows[lo:hi]:
                 if other is tx:
                     continue
-                if overlap_ratio(other.channel, tx.channel) < DETECTION_MIN_OVERLAP:
+                if (end if end < me_end else me_end) <= (
+                    start if start > me_start else me_start
+                ):
                     continue
-                if time_overlap_s(tx, other) <= 0.0:
+                # overlap_ratio(other.channel, tx.channel), edge by edge.
+                overlap = (high if high < me_high else me_high) - (
+                    low if low > me_low else me_low
+                )
+                if overlap <= 0.0 or overlap / (
+                    bw if bw < me_bw else me_bw
+                ) < DETECTION_MIN_OVERLAP:
                     continue
-                nets.append(other.network_id)
+                nets.append(net)
         return nets
 
 

@@ -22,8 +22,21 @@ from .phy.lora import (
 __all__ = ["Transmission", "Observation", "time_overlap_s"]
 
 
+class _Timing:
+    """Timing derived from a :class:`Transmission`'s fields.
+
+    Declared on a plain (non-dataclass) base so the attributes are typed
+    instance attributes but not dataclass fields: equality, hashing,
+    ``repr`` and :func:`dataclasses.fields` see only the packet's fields.
+    """
+
+    airtime_s: float  #: Total time-on-air of the packet.
+    end_s: float  #: Transmission end time.
+    lock_on_s: float  #: When a gateway channel locks on (FCFS key).
+
+
 @dataclass(frozen=True)
-class Transmission:
+class Transmission(_Timing):
     """One uplink packet on the air.
 
     Attributes:
@@ -41,6 +54,10 @@ class Transmission:
             so is retransmitted when none arrives).
         attempt: Retransmission index — 0 for the original send, 1+ for
             re-sends of the same frame counter.
+
+    ``airtime_s``, ``end_s`` and ``lock_on_s`` are computed once, at
+    construction (and again by :func:`dataclasses.replace`): the
+    reception kernels read them for every candidate interferer.
     """
 
     node_id: int
@@ -54,32 +71,23 @@ class Transmission:
     confirmed: bool = False
     attempt: int = 0
 
+    def __post_init__(self) -> None:
+        bandwidth_hz = int(self.channel.bandwidth_hz)
+        airtime_s = time_on_air_s(self.payload_bytes, self.sf, bandwidth_hz)
+        preamble_s = preamble_duration_s(self.sf, bandwidth_hz)
+        object.__setattr__(self, "airtime_s", airtime_s)
+        object.__setattr__(self, "end_s", self.start_s + airtime_s)
+        object.__setattr__(self, "lock_on_s", self.start_s + preamble_s)
+
     @property
     def params(self) -> LoRaParams:
         """The PHY parameter set of this transmission."""
         return LoRaParams(sf=self.sf, bandwidth_hz=int(self.channel.bandwidth_hz))
 
     @property
-    def airtime_s(self) -> float:
-        """Total time-on-air of the packet."""
-        return time_on_air_s(
-            self.payload_bytes, self.sf, int(self.channel.bandwidth_hz)
-        )
-
-    @property
     def preamble_s(self) -> float:
         """Preamble duration; the decoder locks on at its end."""
         return preamble_duration_s(self.sf, int(self.channel.bandwidth_hz))
-
-    @property
-    def lock_on_s(self) -> float:
-        """The instant a gateway channel locks onto this packet (FCFS key)."""
-        return self.start_s + self.preamble_s
-
-    @property
-    def end_s(self) -> float:
-        """Transmission end time."""
-        return self.start_s + self.airtime_s
 
     def key(self) -> tuple:
         """Dedup key used by the network server."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gateway.detector import detect, match_rx_channel
+from repro.gateway.detector import RxChannels, detect, match_rx_channel
 from repro.phy.channels import Channel, ChannelGrid
 from repro.phy.link import noise_floor_dbm
 from repro.phy.lora import SNR_THRESHOLD_DB, SpreadingFactor
@@ -43,6 +43,36 @@ class TestChannelMatching:
 
     def test_empty_channel_list(self):
         assert match_rx_channel(CHANNELS[0], []) is None
+
+
+class TestRxChannelsMemo:
+    PROBES = [
+        ch.shifted(delta)
+        for ch in CHANNELS
+        for delta in (0.0, 10e3, -31_250.0, 62_500.0, 100e3)
+    ] + [Channel(CHANNELS[3].center_hz, 250_000.0), Channel(950e6)]
+
+    def test_matches_plain_sequence(self):
+        memo = RxChannels(CHANNELS)
+        for _ in range(2):  # second pass answers from the memo
+            for probe in self.PROBES:
+                for min_overlap in (0.5, 0.75):
+                    assert match_rx_channel(
+                        probe, memo, min_overlap
+                    ) is match_rx_channel(probe, CHANNELS, min_overlap)
+        assert len(memo.matches) == 2 * len(set(self.PROBES))
+
+    def test_ties_keep_sequence_order(self):
+        # A probe centred between two receive channels overlaps both
+        # equally; the first in the sequence wins, as without the memo.
+        low, high = CHANNELS[2].shifted(-10e3), CHANNELS[2].shifted(10e3)
+        probe = CHANNELS[2]
+        assert match_rx_channel(probe, RxChannels([low, high])) is low
+        assert match_rx_channel(probe, RxChannels([high, low])) is high
+
+    def test_is_a_tuple(self):
+        memo = RxChannels(CHANNELS)
+        assert memo == tuple(CHANNELS) and len(memo) == len(CHANNELS)
 
 
 class TestDetect:

@@ -1,5 +1,8 @@
 """Tests for the shared core types."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +58,75 @@ class TestTransmission:
         tx = make_tx()
         obs = Observation(transmission=tx, rssi_dbm=-100.0)
         assert obs.tx is tx
+
+
+class TestTimingCache:
+    """``airtime_s``, ``end_s`` and ``lock_on_s`` are computed once, at
+    construction, and are not dataclass fields."""
+
+    @pytest.mark.parametrize("bandwidth_hz", [125_000, 250_000, 500_000])
+    @pytest.mark.parametrize("sf", list(SpreadingFactor))
+    def test_matches_phy_for_every_payload(self, sf, bandwidth_hz):
+        channel = Channel(923_100_000.0, bandwidth_hz)
+        for payload in range(256):
+            tx = Transmission(1, 1, channel, sf, 1.25, payload_bytes=payload)
+            airtime = time_on_air_s(payload, sf, bandwidth_hz)
+            assert tx.airtime_s == airtime
+            assert tx.end_s == 1.25 + airtime
+            assert tx.lock_on_s == 1.25 + preamble_duration_s(sf, bandwidth_hz)
+
+    def test_replace_recomputes(self):
+        tx = make_tx(start=1.0, sf=SpreadingFactor.SF8)
+        moved = dataclasses.replace(tx, start_s=3.0)
+        assert moved.end_s == 3.0 + tx.airtime_s
+        assert moved.lock_on_s == 3.0 + tx.preamble_s
+        slower = dataclasses.replace(tx, sf=SpreadingFactor.SF12)
+        assert slower.airtime_s == time_on_air_s(20, SpreadingFactor.SF12)
+        assert slower.end_s == 1.0 + slower.airtime_s
+        assert slower.lock_on_s == 1.0 + preamble_duration_s(
+            SpreadingFactor.SF12
+        )
+
+    def test_not_dataclass_fields(self):
+        assert [f.name for f in dataclasses.fields(Transmission)] == [
+            "node_id",
+            "network_id",
+            "channel",
+            "sf",
+            "start_s",
+            "payload_bytes",
+            "tx_power_dbm",
+            "counter",
+            "confirmed",
+            "attempt",
+        ]
+
+    def test_eq_hash_repr_see_only_fields(self):
+        a = make_tx(start=2.0)
+        b = make_tx(start=2.0)
+        assert a == b and hash(a) == hash(b)
+        assert make_tx(start=2.5) != a
+        assert repr(a) == (
+            "Transmission(node_id=1, network_id=1, channel=Channel("
+            "center_hz=923100000.0, bandwidth_hz=125000), "
+            "sf=<SpreadingFactor.SF8: 8>, start_s=2.0, payload_bytes=20, "
+            "tx_power_dbm=14.0, counter=0, confirmed=False, attempt=0)"
+        )
+
+    def test_pickle_round_trip(self):
+        tx = make_tx(start=0.5, sf=SpreadingFactor.SF10)
+        back = pickle.loads(pickle.dumps(tx))
+        assert back == tx and hash(back) == hash(tx)
+        assert (back.airtime_s, back.end_s, back.lock_on_s) == (
+            tx.airtime_s,
+            tx.end_s,
+            tx.lock_on_s,
+        )
+
+    def test_frozen(self):
+        tx = make_tx()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tx.end_s = 0.0
 
 
 class TestTimeOverlap:
