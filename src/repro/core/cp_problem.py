@@ -171,6 +171,7 @@ class CPEvaluator:
             for l, gw_ids in enumerate(node.reach):
                 for j in gw_ids:
                     self.reach[l, i, j] = True
+        self._node_index = np.arange(self.num_nodes)
         self.traffic = np.array([n.traffic for n in cp.nodes], dtype=float)
         self.decoders = np.array([g.decoders for g in cp.gateways], dtype=float)
         # DR index per tier (for the cell-overload penalty).
@@ -192,15 +193,18 @@ class CPEvaluator:
         return out
 
     def split(self, genome: Sequence[int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Decode a genome into (starts, counts, node_channels, node_tiers)."""
-        g = np.asarray(genome, dtype=int)
+        """Decode a genome into (starts, counts, node_channels, node_tiers).
+
+        The node arrays are views into an int64 array genome (no copy).
+        """
+        g = np.asarray(genome, dtype=np.int64)
         gw_part = g[: 2 * self.num_gw].reshape(self.num_gw, 2)
         if self.fixed_nodes is not None:
             node_ch, node_tier = self.fixed_nodes
         else:
             node_part = g[2 * self.num_gw :].reshape(self.num_nodes, 2)
             node_ch, node_tier = node_part[:, 0], node_part[:, 1]
-        counts = np.clip(gw_part[:, 1], 1, None)
+        counts = np.maximum(gw_part[:, 1], 1)
         # Clamp the window inside the grid.
         starts = np.minimum(gw_part[:, 0], self.num_channels - counts)
         starts = np.maximum(starts, 0)
@@ -219,7 +223,7 @@ class CPEvaluator:
         # Channel membership: start_j <= ch_i < start_j + count_j.
         ch = node_ch[:, None]
         in_window = (ch >= starts[None, :]) & (ch < (starts + counts)[None, :])
-        reach_sel = self.reach[node_tier, np.arange(self.num_nodes), :]
+        reach_sel = self.reach[node_tier, self._node_index, :]
         return in_window & reach_sel
 
     def risk(self, genome: Sequence[int]) -> Tuple[float, int]:

@@ -128,6 +128,22 @@ def _call_driver(name: str, seed: int, fast: Optional[bool]):
     return driver(**kwargs)
 
 
+def _json_safe(value):
+    """``value`` with tuple dict keys, at any depth, joined as ``"a:b"``.
+
+    Heat maps such as Fig 13's ``utilization`` are keyed by
+    ``(channel, DR)`` tuples, which JSON objects cannot hold.
+    """
+    if isinstance(value, dict):
+        return {
+            (":".join(map(str, k)) if isinstance(k, tuple) else k): _json_safe(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _render(name: str, result) -> str:
     """Best-effort ASCII rendering of an experiment's headline series."""
     if name == "fig2a":
@@ -1032,7 +1048,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if isinstance(result, dict):
             result = dict(result)
             result["manifest"] = manifest
-        payload = json.dumps(result, indent=2, default=str)
+        payload = json.dumps(_json_safe(result), indent=2, default=str)
         if args.json_path:
             with open(args.json_path, "w") as fh:
                 fh.write(payload + "\n")

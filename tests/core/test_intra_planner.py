@@ -1,17 +1,108 @@
 """Tests for the intra-network channel planner."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.core.evolutionary import GAConfig
 from repro.core.intra_planner import (
     IntraNetworkPlanner,
     PlannerConfig,
+    _greedy_nodes,
+    _greedy_windows,
     build_cp_input,
 )
 from repro.experiments.common import lab_link, measure_capacity
+from repro.phy.regions import TESTBED_48
 from repro.sim.scenario import assign_orthogonal_combos, build_network
 
 FAST = GAConfig(population=24, generations=30, seed=1, patience=10)
+
+
+def ref_greedy_nodes(cp, windows):
+    """The greedy node assignment as written with numpy scalars."""
+    num_ch = len(cp.channels)
+    cell_load = np.zeros((num_ch, 6))
+    gw_load = np.zeros(len(cp.gateways))
+    decoders = np.array([g.decoders for g in cp.gateways], dtype=float)
+    ch_gws = [[] for _ in range(num_ch)]
+    for j, (start, count) in enumerate(windows):
+        for ch in range(start, min(start + count, num_ch)):
+            ch_gws[ch].append(j)
+    order = sorted(
+        range(len(cp.nodes)),
+        key=lambda i: sum(len(r) for r in cp.nodes[i].reach),
+    )
+    node_ch = [0] * len(cp.nodes)
+    node_tier = [0] * len(cp.nodes)
+    for i in order:
+        node = cp.nodes[i]
+        u = node.traffic
+        best = None
+        for l, tier in enumerate(cp.tiers):
+            reach = set(node.reach[l])
+            if not reach:
+                continue
+            dr = int(tier.dr)
+            candidate_chs = {
+                ch
+                for j in reach
+                for ch in range(windows[j][0], min(windows[j][0] + windows[j][1], num_ch))
+            }
+            for ch in candidate_chs:
+                affected = [j for j in ch_gws[ch] if j in reach]
+                if not affected:
+                    continue
+                delta = sum(
+                    max(0.0, gw_load[j] + u - decoders[j])
+                    - max(0.0, gw_load[j] - decoders[j])
+                    for j in affected
+                )
+                delta += 0.25 * (len(affected) - 1) * u
+                load = cell_load[ch, dr]
+                collides = 1 if load + u > 1.0 + 1e-9 else 0
+                key = (collides, -load if collides else load, delta, l, ch)
+                if best is None or key < best:
+                    best = key
+            if best is not None and best[0] == 0 and best[2] == 0.0:
+                break
+        if best is None:
+            continue
+        if best[0] == 1:
+            parked = [ch for ch in range(num_ch) if not ch_gws[ch]]
+            if parked:
+                node_ch[i] = parked[i % len(parked)]
+                node_tier[i] = 0
+                continue
+        _, _, _, l, ch = best
+        node_ch[i] = ch
+        node_tier[i] = l
+        cell_load[ch, int(cp.tiers[l].dr)] += u
+        for j in ch_gws[ch]:
+            if j in set(node.reach[l]):
+                gw_load[j] += u
+    return node_ch, node_tier
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_greedy_nodes_matches_numpy_reference(seed):
+    # Heavy traffic overloads decoders and cells, so the overload deltas,
+    # the collision ordering and parking all take part.
+    grid = TESTBED_48.grid()
+    net = build_network(
+        1, 4, 80, grid.channels()[:8], seed=seed, width_m=900, height_m=900
+    )
+    traffic = {d.node_id: 0.25 + 0.25 * (d.node_id % 4) for d in net.devices}
+    cp = build_cp_input(net, grid.channels(), lab_link(seed=seed), traffic=traffic)
+    rng = random.Random(seed)
+    variants = [_greedy_windows(cp, True), _greedy_windows(cp, False)]
+    for _ in range(4):
+        variants.append(
+            [(rng.randrange(len(cp.channels)), rng.randint(1, 8)) for _ in cp.gateways]
+        )
+    for windows in variants:
+        assert _greedy_nodes(cp, windows) == ref_greedy_nodes(cp, windows)
 
 
 @pytest.fixture

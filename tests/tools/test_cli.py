@@ -81,6 +81,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "baseline" in out
 
+    def test_run_writes_tuple_keys_as_strings(self, tmp_path, monkeypatch, capsys):
+        # Fig 13's heat map is keyed by (channel, DR); a stand-in for
+        # run_fig13 keeps the test from running the figure.
+        def fake_fig13(seed=0, fast=True):
+            return {"utilization": {"alphawan": {(3, 5): 7, (0, 0): 1}}}
+
+        monkeypatch.setitem(EXPERIMENTS, "fig13", (fake_fig13, "stand-in"))
+        path = tmp_path / "fig13.json"
+        assert main(["run", "fig13", "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["utilization"] == {"alphawan": {"3:5": 7, "0:0": 1}}
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
