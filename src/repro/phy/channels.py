@@ -18,7 +18,9 @@ __all__ = [
     "ChannelPlan",
     "overlap_ratio",
     "overlap_hz",
+    "bucket_reach",
     "standard_plans",
+    "INDEX_BUCKET_HZ",
     "GRID_SPACING_HZ",
     "CHANNEL_BANDWIDTH_HZ",
     "PLAN_SIZE",
@@ -74,6 +76,23 @@ def overlap_ratio(a: Channel, b: Channel) -> float:
     as ``1 - overlap_ratio``.
     """
     return overlap_hz(a, b) / min(a.bandwidth_hz, b.bandwidth_hz)
+
+
+# Width of the frequency buckets that the interference and collision
+# indexes file packets under, by channel centre.
+INDEX_BUCKET_HZ = 200_000.0
+
+
+def bucket_reach(widest_hz: float) -> int:
+    """Buckets a frequency-index lookup scans on each side of its own.
+
+    Two passbands overlap only when their centres are closer than the
+    wider bandwidth.  With ``widest_hz`` the widest bandwidth in the
+    index, overlapping centres are at most ``widest_hz //
+    INDEX_BUCKET_HZ + 1`` buckets apart: one for 125 kHz channels, two
+    for 250 kHz and three for 500 kHz.
+    """
+    return int(widest_hz // INDEX_BUCKET_HZ) + 1
 
 
 @dataclass(frozen=True)
