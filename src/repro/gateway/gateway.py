@@ -13,12 +13,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, phase_timed
-from ..phy.channels import INDEX_BUCKET_HZ, Channel, bucket_reach
+from ..phy.channels import (
+    INDEX_BUCKET_HZ,
+    Channel,
+    bucket_reach,
+    spectrum_span_hz,
+)
 from ..phy.interference import Interferer, decode_ok
 from ..phy.lora import SpreadingFactor
 from ..phy.link import Position, noise_floor_dbm
@@ -28,13 +33,15 @@ from .detector import Detection, RxChannels, detect, match_rx_channel
 from .dispatcher import FcfsDispatcher
 from .models import GatewayModel, get_model
 
-__all__ = ["Outcome", "GatewayReception", "Gateway"]
+__all__ = ["Outcome", "GatewayReception", "Gateway", "Hearing"]
 
-# One interference-index row per observation, precomputed once per
-# batch: (tx, start_s, end_s, low_hz, high_hz, rssi_dbm, sf, channel,
-# network_id).  Rows sort by start_s (then by position in the batch).
+# One interference-index row per indexed transmission, precomputed once:
+# (tx, start_s, end_s, low_hz, high_hz, position, sf, channel,
+# network_id).  ``position`` is the transmission's place in the indexed
+# sequence; rows sort by start_s (then by position).  Rows carry no
+# RSSI: the same index serves every gateway of a run.
 _Row = Tuple[
-    Transmission, float, float, float, float, float,
+    Transmission, float, float, float, float, int,
     SpreadingFactor, Channel, int,
 ]
 # (per frequency bucket: rows, their starts, longest airtime; buckets a
@@ -45,6 +52,18 @@ _TimeIndex = Tuple[Dict[int, Tuple[List[_Row], List[float], float]], int]
 def _row_start_s(row: _Row) -> float:
     """Sort key for the interference time index (hoisted: hot path)."""
     return row[1]
+
+
+class Hearing(NamedTuple):
+    """An interference index as one gateway hears it.
+
+    ``rssi_dbm[p]`` is the RSSI at this gateway of the index's packet at
+    position ``p``, or ``None`` when the gateway does not hear it (the
+    medium pruned it below the gateway's cutoff).
+    """
+
+    index: _TimeIndex
+    rssi_dbm: List[Optional[float]]
 
 
 class Outcome(Enum):
@@ -143,7 +162,7 @@ class Gateway:
                 f"{len(chans)} channels exceed the {self.model.name} limit "
                 f"of {self.model.max_channels}"
             )
-        span = chans[-1].high_hz - chans[0].low_hz
+        span = spectrum_span_hz(chans)
         if span > self.model.rx_spectrum_hz + 1.0:
             raise ValueError(
                 f"channel span {span / 1e6:.2f} MHz exceeds the "
@@ -165,26 +184,28 @@ class Gateway:
             ).inc()
 
     @staticmethod
-    def _build_time_index(observations: Sequence[Observation]) -> _TimeIndex:
-        """Index observations by frequency bucket and start time.
+    def _build_time_index(transmissions: Sequence[Transmission]) -> _TimeIndex:
+        """Index transmissions by frequency bucket and start time.
 
         Keeps the scaled-operation scenarios (tens of thousands of
         packets) near linear: interference lookups scan only
         time-adjacent packets in frequency-adjacent buckets, as many on
-        each side as the batch's widest bandwidth needs
+        each side as the widest indexed bandwidth needs
         (:func:`~repro.phy.channels.bucket_reach`).  Each row carries
         the packet's time span and passband edges, so the scan compares
-        floats instead of re-deriving them per candidate.
+        floats instead of re-deriving them per candidate.  A simulated
+        run indexes its transmissions once for all gateways
+        (:class:`~repro.sim.medium.Medium`); a batch handed to
+        :meth:`receive` alone is indexed on its own.
         """
         buckets: Dict[int, List[_Row]] = {}
         widest = 0.0
-        for obs in observations:
-            tx = obs.transmission
+        for position, tx in enumerate(transmissions):
             channel = tx.channel
             key = int(channel.center_hz // INDEX_BUCKET_HZ)
             row: _Row = (
                 tx, tx.start_s, tx.end_s, channel.low_hz, channel.high_hz,
-                obs.rssi_dbm, tx.sf, channel, tx.network_id,
+                position, tx.sf, channel, tx.network_id,
             )
             buckets.setdefault(key, []).append(row)
             if channel.bandwidth_hz > widest:
@@ -197,24 +218,36 @@ class Gateway:
             index[key] = (rows, starts, max_airtime)
         return index, bucket_reach(widest)
 
+    @staticmethod
+    def _hearing(observations: Sequence[Observation]) -> Hearing:
+        """A batch heard on its own: indexed alone, every packet audible."""
+        return Hearing(
+            Gateway._build_time_index([obs.transmission for obs in observations]),
+            [obs.rssi_dbm for obs in observations],
+        )
+
     def _interferers_for(
-        self, det: Detection, index: _TimeIndex
+        self, det: Detection, hearing: Hearing
     ) -> List[Interferer]:
         """Concurrent transmissions adding energy into ``det``'s passband.
 
         A candidate counts when it overlaps ``det`` both in time and in
-        frequency.  ``min(ends) <= max(starts)`` is the exact negation
-        of :func:`~repro.types.time_overlap_s` being positive (for
-        finite floats ``x - y <= 0`` holds exactly when ``x <= y``), and
+        frequency and this gateway hears it.  ``min(ends) <=
+        max(starts)`` is the exact negation of
+        :func:`~repro.types.time_overlap_s` being positive (for finite
+        floats ``x - y <= 0`` holds exactly when ``x <= y``), and
         likewise for the passband edges and
-        :func:`~repro.phy.channels.overlap_hz`.
+        :func:`~repro.phy.channels.overlap_hz`.  Interferers come out
+        bucket by bucket upwards, each bucket in (start, position)
+        order: skipping the packets a gateway does not hear leaves the
+        order its own batch's index would give.
         """
         me = det.tx
         me_start, me_end = me.start_s, me.end_s
         channel = me.channel
         me_low, me_high = channel.low_hz, channel.high_hz
         me_net = me.network_id
-        buckets, reach = index
+        (buckets, reach), heard = hearing
         center_key = int(channel.center_hz // INDEX_BUCKET_HZ)
         interferers: List[Interferer] = []
         for key in range(center_key - reach, center_key + reach + 1):
@@ -224,7 +257,7 @@ class Gateway:
             rows, starts, max_airtime = entry
             lo = bisect_left(starts, me_start - max_airtime)
             hi = bisect_right(starts, me_end)
-            for tx, start, end, low, high, rssi, sf, chan, net in rows[lo:hi]:
+            for tx, start, end, low, high, pos, sf, chan, net in rows[lo:hi]:
                 if tx is me:
                     continue
                 if (end if end < me_end else me_end) <= (
@@ -235,18 +268,16 @@ class Gateway:
                     low if low > me_low else me_low
                 ):
                     continue
-                interferers.append(
-                    Interferer(
-                        rssi_dbm=rssi,
-                        sf=sf,
-                        channel=chan,
-                        same_network=net == me_net,
-                    )
-                )
+                rssi = heard[pos]
+                if rssi is None:
+                    continue
+                interferers.append(Interferer(rssi, sf, chan, net == me_net))
         return interferers
 
     def receive(
-        self, observations: Sequence[Observation]
+        self,
+        observations: Sequence[Observation],
+        hearing: Optional[Hearing] = None,
     ) -> List[GatewayReception]:
         """Process a batch of concurrent/overlapping observations.
 
@@ -255,11 +286,19 @@ class Gateway:
         and below-sensitivity ones): they all shape detection, decoder
         occupancy, and interference.
 
+        Args:
+            observations: The batch.
+            hearing: The run's shared interference index as this gateway
+                hears it (:meth:`repro.sim.medium.Medium.hearing`); it
+                must hear exactly ``observations``.  By default the
+                batch is indexed on its own.
+
         Returns:
             One reception record per observation, in input order.
         """
         self.pool.reset()
-        index = self._build_time_index(observations)
+        if hearing is None:
+            hearing = self._hearing(observations)
         detections: List[Detection] = []
         prelim: Dict[int, GatewayReception] = {}
         rec_trace = _obs.TRACE
@@ -329,7 +368,7 @@ class Gateway:
                             noise,
                             tx.sf,
                             det.rx_channel,
-                            self._interferers_for(det, index),
+                            self._interferers_for(det, hearing),
                         )
                     if not ok:
                         outcome = Outcome.DECODE_FAILED

@@ -18,6 +18,7 @@ __all__ = [
     "ChannelPlan",
     "overlap_ratio",
     "overlap_hz",
+    "spectrum_span_hz",
     "bucket_reach",
     "standard_plans",
     "INDEX_BUCKET_HZ",
@@ -31,9 +32,27 @@ CHANNEL_BANDWIDTH_HZ = 125_000
 PLAN_SIZE = 8  # channels per standard LoRaWAN plan (Figure 19)
 
 
+class _Edges:
+    """Passband edges derived from a :class:`Channel`'s fields.
+
+    Declared on a plain (non-dataclass) base so the attributes are typed
+    instance attributes but not dataclass fields: equality, hashing,
+    ordering, ``repr`` and :func:`dataclasses.fields` see only the
+    centre and the bandwidth.
+    """
+
+    low_hz: float  #: Lower passband edge.
+    high_hz: float  #: Upper passband edge.
+
+
 @dataclass(frozen=True, order=True)
-class Channel:
-    """A radio channel described by its center frequency and bandwidth."""
+class Channel(_Edges):
+    """A radio channel described by its center frequency and bandwidth.
+
+    ``low_hz`` and ``high_hz`` are computed once, at construction (and
+    again by :func:`dataclasses.replace`): the reception kernels read
+    them for every candidate interferer.
+    """
 
     center_hz: float
     bandwidth_hz: float = CHANNEL_BANDWIDTH_HZ
@@ -43,16 +62,9 @@ class Channel:
             raise ValueError(f"center frequency must be positive: {self.center_hz}")
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth must be positive: {self.bandwidth_hz}")
-
-    @property
-    def low_hz(self) -> float:
-        """Lower passband edge."""
-        return self.center_hz - self.bandwidth_hz / 2.0
-
-    @property
-    def high_hz(self) -> float:
-        """Upper passband edge."""
-        return self.center_hz + self.bandwidth_hz / 2.0
+        half = self.bandwidth_hz / 2.0
+        object.__setattr__(self, "low_hz", self.center_hz - half)
+        object.__setattr__(self, "high_hz", self.center_hz + half)
 
     def offset_hz(self, other: "Channel") -> float:
         """Absolute center-frequency offset to another channel."""
@@ -61,6 +73,18 @@ class Channel:
     def shifted(self, delta_hz: float) -> "Channel":
         """Return a copy of this channel shifted by ``delta_hz``."""
         return Channel(self.center_hz + delta_hz, self.bandwidth_hz)
+
+
+def spectrum_span_hz(channels: Iterable[Channel]) -> float:
+    """Width from the lowest passband edge to the highest (0 when empty).
+
+    With mixed bandwidths the outermost edges need not belong to the
+    channels with the outermost centres, so every edge is compared.
+    """
+    chans = list(channels)
+    if not chans:
+        return 0.0
+    return max(c.high_hz for c in chans) - min(c.low_hz for c in chans)
 
 
 def overlap_hz(a: Channel, b: Channel) -> float:
@@ -189,9 +213,7 @@ class ChannelPlan:
     @property
     def span_hz(self) -> float:
         """Frequency span from the lowest to the highest channel edge."""
-        if not self.channels:
-            return 0.0
-        return self.channels[-1].high_hz - self.channels[0].low_hz
+        return spectrum_span_hz(self.channels)
 
     def best_match(self, channel: Channel) -> Tuple[Channel, float]:
         """The plan channel with the highest overlap to ``channel``.

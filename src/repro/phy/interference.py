@@ -22,8 +22,7 @@ Three effects from the paper are modelled here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from ..obs import runtime as _obs
 from .channels import Channel, overlap_ratio
@@ -132,9 +131,13 @@ def is_detectable(packet_channel: Channel, rx_channel: Channel) -> bool:
     return overlap_ratio(packet_channel, rx_channel) >= DETECTION_MIN_OVERLAP
 
 
-@dataclass(frozen=True)
-class Interferer:
-    """One concurrent transmission observed while receiving a packet."""
+class Interferer(NamedTuple):
+    """One concurrent transmission observed while receiving a packet.
+
+    A named tuple rather than a dataclass: the reception kernels build
+    one per overlapping packet and :func:`decode_ok` unpacks it, both
+    at tuple speed.
+    """
 
     rssi_dbm: float
     sf: SpreadingFactor
@@ -162,20 +165,30 @@ def _noise_and_captures(
     on an (almost) aligned channel — the true collisions that
     :func:`decode_ok` checks for capture.
 
-    One pass computes each interferer's :func:`overlap_ratio` once and
-    sums the isolation-weighted powers in input order.
+    One pass computes each interferer's :func:`overlap_ratio` once, from
+    the cached passband edges with that function's expression, and sums
+    the isolation-weighted powers in input order.  ``x / w <= 0`` holds
+    exactly when ``max(0, x) / w`` is zero, so skipping on the raw
+    quotient drops the same interferers.
     """
     isolation_db = _SF_ISOLATION_DB[SpreadingFactor(desired_sf)]
+    me_low, me_high = desired_channel.low_hz, desired_channel.high_hz
+    me_bw = desired_channel.bandwidth_hz
     total = _dbm_to_mw(noise_dbm)
     captures: List[float] = []
-    for intf in interferers:
-        ov = overlap_ratio(desired_channel, intf.channel)
+    for rssi_dbm, sf, channel, _same_network in interferers:
+        low, high, bw = channel.low_hz, channel.high_hz, channel.bandwidth_hz
+        ov = (
+            (high if high < me_high else me_high) - (low if low > me_low else me_low)
+        ) / (bw if bw < me_bw else me_bw)
         if ov <= 0.0:
             continue
-        isolation = overlap_rejection_db(ov) + isolation_db[intf.sf]
-        total += _dbm_to_mw(intf.rssi_dbm - isolation)
-        if ov >= DETECTION_MIN_OVERLAP and intf.sf == desired_sf:
-            captures.append(intf.rssi_dbm)
+        if not 0.0 <= ov <= 1.0:  # overlap_rejection_db's range check
+            raise ValueError(f"overlap ratio must be in [0, 1], got {ov}")
+        isolation = (1.0 - ov) * FULL_MISALIGNMENT_REJECTION_DB + isolation_db[sf]
+        total += 10.0 ** ((rssi_dbm - isolation) / 10.0)
+        if ov >= DETECTION_MIN_OVERLAP and sf == desired_sf:
+            captures.append(rssi_dbm)
     return total, captures
 
 

@@ -28,6 +28,7 @@ from .scenario import (
     build_network,
 )
 from .engine import OnlineSimulator, Reconfiguration
+from .medium import Medium
 from .simulator import SimulationResult, Simulator, tx_key
 from .topology import (
     AREA_HEIGHT_M,
@@ -46,7 +47,7 @@ __all__ = [
     "Network", "all_combos", "assign_orthogonal_combos",
     "assign_plan_homogeneous", "assign_random_channels",
     "assign_tier_by_reach", "build_network",
-    "OnlineSimulator", "Reconfiguration",
+    "OnlineSimulator", "Reconfiguration", "Medium",
     "SimulationResult", "Simulator", "tx_key",
     "AREA_HEIGHT_M", "AREA_WIDTH_M", "LinkBudget", "grid_positions",
     "uniform_positions",

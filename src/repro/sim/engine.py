@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
 from ..gateway.detector import RxChannels, detect, match_rx_channel
-from ..gateway.gateway import Gateway, GatewayReception, Outcome
+from ..gateway.gateway import Gateway, GatewayReception, Hearing, Outcome
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, PhaseStat, phase_timed
@@ -34,7 +34,7 @@ from ..phy.channels import Channel
 from ..phy.interference import decode_ok
 from ..phy.link import noise_floor_dbm
 from ..types import Observation, Transmission
-from .simulator import SimulationResult, Simulator, tx_key
+from .simulator import SimulationResult, Simulator, record_slots
 
 logger = logging.getLogger(__name__)
 
@@ -124,24 +124,24 @@ class OnlineSimulator(Simulator):
                 max((t.end_s for t in result.transmissions), default=0.0),
             )
         with span("sim.run_online"):
-            for tx in transmissions:
-                result.receptions.setdefault(tx_key(tx), [])
+            slots = record_slots(result)
+            medium = self.medium(result.transmissions)
             reconfig_by_gw: Dict[int, List[Reconfiguration]] = {}
             for rc in reconfigurations:
                 reconfig_by_gw.setdefault(rc.gateway_id, []).append(rc)
             for gw in self.gateways:
                 with span("gateway"):
                     with phase_timed(Phase.OBSERVE, items=len(transmissions)):
-                        obs = self.observations_at(gw, transmissions)
+                        obs = self.observations_at(gw, transmissions, medium)
                     events = self._gateway_events(
                         gw, reconfig_by_gw.get(gw.gateway_id, []), fault_plan
                     )
-                    records = self._run_gateway(gw, obs, events, fault_plan)
+                    records = self._run_gateway(
+                        gw, obs, medium.hearing(gw), events, fault_plan
+                    )
                     with phase_timed(Phase.COLLECT, items=len(records)):
                         for record in records:
-                            result.receptions[
-                                tx_key(record.transmission)
-                            ].append(record)
+                            slots[id(record.transmission)].append(record)
         if rec is not None:
             rec.emit(EventType.SIM_RUN_END, run=run_index)
         health = _obs.HEALTH
@@ -194,10 +194,15 @@ class OnlineSimulator(Simulator):
         self,
         gw: Gateway,
         observations: Sequence[Observation],
+        hearing: Hearing,
         events: List[_TimelineEvent],
         fault_plan: Optional[FaultPlan] = None,
     ) -> List[GatewayReception]:
-        """Process one gateway's timeline: lock-ons + timeline events."""
+        """Process one gateway's timeline: lock-ons + timeline events.
+
+        ``hearing`` is the run's interference index as ``gw`` hears it,
+        which must be exactly ``observations``.
+        """
         gw.pool.reset()
         gw.pool.resize(gw.model.decoders)
         rec_trace = _obs.TRACE
@@ -215,7 +220,6 @@ class OnlineSimulator(Simulator):
             st_detect = probe.stat(Phase.DETECT)
             st_dispatch = probe.stat(Phase.DISPATCH)
             st_decode = probe.stat(Phase.DECODE)
-        index = gw._build_time_index(observations)
         noise_figure = gw.noise_figure_db
         backhaul_rng = (
             fault_plan.rng(f"backhaul:gw{gw.gateway_id}")
@@ -389,7 +393,7 @@ class OnlineSimulator(Simulator):
                     noise,
                     tx.sf,
                     det.rx_channel,
-                    gw._interferers_for(det, index),
+                    gw._interferers_for(det, hearing),
                 )
             if st_decode is not None:
                 st_decode.end(t0)

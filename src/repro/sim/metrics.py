@@ -288,13 +288,15 @@ def outcome_counts(
     ``gateway_offline`` and ``backhaul_lost`` — so chaos runs can audit
     exactly where packets died.
     """
-    counts: Counter = Counter()
-    for records in result.receptions.values():
-        for rec in records:
-            if gateway_id is not None and rec.gateway_id != gateway_id:
-                continue
-            counts[rec.outcome.value] += 1
-    return dict(sorted(counts.items()))
+    counts: Counter = Counter(
+        [
+            rec.outcome
+            for records in result.receptions.values()
+            for rec in records
+            if gateway_id is None or rec.gateway_id == gateway_id
+        ]
+    )
+    return dict(sorted((outcome.value, n) for outcome, n in counts.items()))
 
 
 def bucketed_prr(

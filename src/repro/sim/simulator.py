@@ -1,10 +1,11 @@
 """Network-level simulation: medium, gateways, and delivery resolution.
 
-The :class:`Simulator` wires the pieces together: it computes per-gateway
-observations from the link budget (the "medium"), runs every gateway's
-reception pipeline, and resolves network-level delivery (a packet is
-delivered if *any* gateway of its own network received it — LoRaWAN has
-no user-gateway association).
+The :class:`Simulator` wires the pieces together: it builds the run's
+:class:`~repro.sim.medium.Medium` (every packet's RSSI at every gateway
+and one shared interference index), runs every gateway's reception
+pipeline on what it hears, and resolves network-level delivery (a
+packet is delivered if *any* gateway of its own network received it —
+LoRaWAN has no user-gateway association).
 """
 
 from __future__ import annotations
@@ -18,24 +19,33 @@ from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, phase_timed
 from ..obs.profiling import span
-from ..phy.link import Position, noise_floor_dbm
 from ..types import Observation, Transmission
+from .medium import Medium
 from .topology import LinkBudget
 
 __all__ = ["SimulationResult", "Simulator", "TxKey"]
 
 TxKey = Tuple[int, int, int, float]  # (network, node, counter, start)
 
-# Signals weaker than this margin below the noise floor are dropped from
-# a gateway's observation set entirely: they can neither be detected
-# (LoRa demodulates down to ~-23 dB SNR) nor contribute measurable
-# interference energy.
-PRUNE_MARGIN_DB = 30.0
-
 
 def tx_key(tx: Transmission) -> TxKey:
     """Canonical per-packet key."""
     return (tx.network_id, tx.node_id, tx.counter, tx.start_s)
+
+
+def record_slots(result: "SimulationResult") -> Dict[int, List[GatewayReception]]:
+    """Each of the run's transmissions' record list, by object identity.
+
+    Creates the (empty) lists of ``result.receptions``; packets with
+    equal :func:`tx_key` share one.  The reception loops then file each
+    record under ``id(record.transmission)`` instead of rebuilding its
+    key.
+    """
+    receptions = result.receptions
+    return {
+        id(tx): receptions.setdefault(tx_key(tx), [])
+        for tx in result.transmissions
+    }
 
 
 @dataclass
@@ -53,8 +63,12 @@ class SimulationResult:
 
     def delivered(self, tx: Transmission) -> bool:
         """Whether the packet reached its own network server."""
+        return self._delivered(tx, self.own_gateway_ids(tx.network_id))
+
+    def _delivered(self, tx: Transmission, own_ids: set) -> bool:
+        received = Outcome.RECEIVED
         return any(
-            r.received and r.gateway_id in self.own_gateway_ids(tx.network_id)
+            r.outcome is received and r.gateway_id in own_ids
             for r in self.records_for(tx)
         )
 
@@ -72,12 +86,18 @@ class SimulationResult:
 
     def delivered_count(self, network_id: Optional[int] = None) -> int:
         """Packets delivered, optionally restricted to one network."""
-        return sum(
-            1
-            for tx in self.transmissions
-            if (network_id is None or tx.network_id == network_id)
-            and self.delivered(tx)
-        )
+        own: Dict[int, set] = {}
+        count = 0
+        for tx in self.transmissions:
+            net = tx.network_id
+            if network_id is not None and net != network_id:
+                continue
+            own_ids = own.get(net)
+            if own_ids is None:
+                own_ids = own[net] = self.own_gateway_ids(net)
+            if self._delivered(tx, own_ids):
+                count += 1
+        return count
 
     def offered_count(self, network_id: Optional[int] = None) -> int:
         """Packets offered, optionally restricted to one network."""
@@ -122,29 +142,27 @@ class Simulator:
             raise ValueError("(network_id, node_id) pairs must be unique")
         self.link = link or LinkBudget()
 
-    def _device_position(self, tx: Transmission) -> Position:
-        dev = self.devices.get((tx.network_id, tx.node_id))
-        if dev is None:
-            raise KeyError(
-                f"transmission from unknown device "
-                f"net={tx.network_id} node={tx.node_id}"
-            )
-        return dev.position
+    def medium(self, transmissions: Sequence[Transmission]) -> Medium:
+        """The medium every gateway of a run over ``transmissions`` shares."""
+        return Medium(self.link, self.devices, self.gateways, transmissions)
 
     def observations_at(
-        self, gateway: Gateway, transmissions: Sequence[Transmission]
+        self,
+        gateway: Gateway,
+        transmissions: Sequence[Transmission],
+        medium: Optional[Medium] = None,
     ) -> List[Observation]:
-        """The audible observation set at one gateway (pruned)."""
-        floor = noise_floor_dbm(125_000.0, gateway.noise_figure_db)
-        cutoff = floor - PRUNE_MARGIN_DB
-        out: List[Observation] = []
-        for tx in transmissions:
-            rssi = self.link.rssi_dbm(
-                tx.tx_power_dbm, self._device_position(tx), gateway.position
-            )
-            if rssi >= cutoff:
-                out.append(Observation(transmission=tx, rssi_dbm=rssi))
-        return out
+        """The audible observation set at one gateway (pruned).
+
+        ``medium`` is the run's medium over ``transmissions`` when the
+        caller already has it; otherwise one is made for this gateway.
+
+        Raises:
+            KeyError: for a transmission from an unknown device.
+        """
+        if medium is None:
+            medium = Medium(self.link, self.devices, [gateway], transmissions)
+        return medium.observations(gateway)
 
     def run(self, transmissions: Sequence[Transmission]) -> SimulationResult:
         """Simulate one window of traffic across all gateways."""
@@ -169,18 +187,16 @@ class Simulator:
                 max((t.end_s for t in result.transmissions), default=0.0),
             )
         with span("sim.run"):
-            for tx in transmissions:
-                result.receptions.setdefault(tx_key(tx), [])
+            slots = record_slots(result)
+            medium = self.medium(result.transmissions)
             for gw in self.gateways:
                 with span("gateway"):
                     with phase_timed(Phase.OBSERVE, items=len(transmissions)):
-                        obs = self.observations_at(gw, transmissions)
-                    records = gw.receive(obs)
+                        obs = self.observations_at(gw, transmissions, medium)
+                    records = gw.receive(obs, medium.hearing(gw))
                     with phase_timed(Phase.COLLECT, items=len(records)):
                         for record in records:
-                            result.receptions[
-                                tx_key(record.transmission)
-                            ].append(record)
+                            slots[id(record.transmission)].append(record)
         if rec is not None:
             rec.emit(EventType.SIM_RUN_END, run=run_index)
         health = _obs.HEALTH

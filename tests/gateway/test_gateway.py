@@ -4,7 +4,7 @@ import pytest
 
 from repro.gateway.gateway import Gateway, Outcome
 from repro.gateway.models import get_model
-from repro.phy.channels import ChannelGrid
+from repro.phy.channels import Channel, ChannelGrid
 from repro.phy.link import Position, noise_floor_dbm
 from repro.phy.lora import DataRate, DR_TO_SF, SpreadingFactor
 from repro.types import Observation, Transmission
@@ -75,6 +75,19 @@ class TestConfiguration:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             make_gateway(channels=[])
+
+    def test_span_counts_a_wide_inner_channel(self):
+        # Sorted by centre, the 500 kHz channel is not first, yet its
+        # lower edge (921.8 MHz) is the lowest: the span is 1.7325 MHz.
+        chans = [
+            Channel(922.0e6, 125e3),
+            Channel(922.05e6, 500e3),
+            Channel(923.47e6, 125e3),
+        ]
+        with pytest.raises(ValueError, match="1.73 MHz exceeds"):
+            Gateway(1, 1, Position(0, 0), chans)
+        narrow = [Channel(922.0e6, 125e3), Channel(923.47e6, 125e3)]
+        assert len(Gateway(1, 1, Position(0, 0), narrow).channels) == 2
 
     def test_reconfigure_and_reboot(self):
         gw = make_gateway()

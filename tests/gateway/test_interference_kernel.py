@@ -2,12 +2,16 @@
 
 Both reception loops (``Gateway.receive`` and the online engine) find a
 packet's interferers through ``Gateway._interferers_for`` over a
-precomputed time index and judge it with ``decode_ok``.  These tests
-rebuild both from the public PHY helpers (``time_overlap_s``,
+precomputed time index, as the gateway hears it, and judge it with
+``decode_ok``.  A simulated run builds that index once for all its
+gateways (``repro.sim.medium.Medium``); a batch given to
+``Gateway.receive`` alone is indexed on its own.  These tests rebuild
+both kernels from the public PHY helpers (``time_overlap_s``,
 ``overlap_hz``, ``overlap_ratio``, ``sf_isolation_db``,
 ``overlap_rejection_db``) on seeded random traffic that includes the
 edge cases: packets touching exactly in time, passbands touching
-exactly, mixed 125/250/500 kHz channels and every SF pair.
+exactly, mixed 125/250/500 kHz channels, misaligned plans sharing a
+frequency bucket, packets pruned at one gateway only, and every SF pair.
 """
 
 import math
@@ -19,6 +23,7 @@ import pytest
 from repro.gateway.detector import Detection, detect
 from repro.gateway.gateway import Gateway
 from repro.gateway.models import get_model
+from repro.node.device import EndDevice
 from repro.phy.channels import (
     INDEX_BUCKET_HZ,
     Channel,
@@ -36,11 +41,13 @@ from repro.phy.interference import (
     overlap_rejection_db,
     sf_isolation_db,
 )
-from repro.phy.link import Position, noise_floor_dbm
+from repro.phy.link import PathLossModel, Position, noise_floor_dbm
 from repro.phy.lora import SNR_THRESHOLD_DB, SpreadingFactor
 from repro.sim.engine import OnlineSimulator
+from repro.sim.medium import PRUNE_MARGIN_DB
 from repro.sim.metrics import CollisionIndex
 from repro.sim.simulator import tx_key
+from repro.sim.topology import LinkBudget
 from repro.types import Observation, Transmission, time_overlap_s
 
 GRID = ChannelGrid(start_hz=923.0e6, width_hz=1.6e6)
@@ -65,11 +72,19 @@ def packet_channels():
     return out
 
 
-def random_observations(seed: int, count: int = 160) -> List[Observation]:
+def misaligned_channels():
+    """125 kHz plans shifted by 50/100/150 kHz: several channels share
+    each 200 kHz bucket, and neighbours overlap partially."""
+    return [c.shifted(d) for c in RX_CHANNELS for d in (0.0, 50e3, 100e3, 150e3)]
+
+
+def random_observations(
+    seed: int, count: int = 160, channels=None
+) -> List[Observation]:
     """Seeded traffic over a short window; some packets start exactly
     when an earlier one ends, some of those on its channel and SF."""
     rng = random.Random(seed)
-    channels = packet_channels()
+    channels = channels or packet_channels()
     txs: List[Transmission] = []
     for i in range(count):
         channel, sf = rng.choice(channels), rng.choice(SFS)
@@ -189,7 +204,7 @@ def test_traffic_covers_the_edge_cases():
 def test_interferers_match_brute_force(seed):
     observations = random_observations(seed)
     gw = make_gateway()
-    index = gw._build_time_index(observations)
+    hearing = Gateway._hearing(observations)
     seen = 0
     for obs in observations:
         det = Detection(
@@ -198,7 +213,7 @@ def test_interferers_match_brute_force(seed):
             lock_on_s=obs.transmission.lock_on_s,
             snr_db=obs.rssi_dbm - NOISE,
         )
-        got = gw._interferers_for(det, index)
+        got = gw._interferers_for(det, hearing)
         assert got == reference_interferers(obs, observations)
         seen += len(got)
     assert seen > 0
@@ -229,9 +244,9 @@ def test_wide_channels_two_buckets_apart_see_each_other():
     assert bucket(b) - bucket(a) == 2
     assert overlap_hz(a.channel, b.channel) == pytest.approx(30_000.0)
     gw = make_gateway()
-    index = gw._build_time_index(observations)
+    hearing = Gateway._hearing(observations)
     for obs in observations:
-        got = gw._interferers_for(_detection(obs), index)
+        got = gw._interferers_for(_detection(obs), hearing)
         assert len(got) == 1
         assert got == reference_interferers(obs, observations)
 
@@ -258,12 +273,12 @@ def test_collision_index_sees_a_wide_channel_two_buckets_away():
 def test_decode_ok_matches_brute_force(seed):
     observations = random_observations(seed)
     gw = make_gateway()
-    index = gw._build_time_index(observations)
+    hearing = Gateway._hearing(observations)
     verdicts = set()
     for obs in observations:
         tx = obs.transmission
         det = Detection(obs, tx.channel, tx.lock_on_s, obs.rssi_dbm - NOISE)
-        interferers = gw._interferers_for(det, index)
+        interferers = gw._interferers_for(det, hearing)
         noise = noise_floor_dbm(tx.channel.bandwidth_hz)
         assert effective_noise_mw(
             noise, tx.sf, tx.channel, interferers
@@ -298,15 +313,50 @@ def test_decode_ok_every_sf_pair():
                 ) == reference_decode_ok(rssi, NOISE, desired, channel, interferers)
 
 
-class _FixedObservations(OnlineSimulator):
-    """Serves one prebuilt observation set to every gateway."""
+class TableLoss(PathLossModel):
+    """Path loss looked up by (device x, gateway x) coordinates."""
 
-    def __init__(self, gateways, observations):
-        super().__init__(gateways, devices=[])
-        self._observations = observations
+    def __init__(self, table):
+        self.table = table
 
-    def observations_at(self, gateway, transmissions):
-        return list(self._observations)
+    def path_loss_db(self, a, b):
+        return self.table[(a.x, b.x)]
+
+
+CUTOFF = NOISE - PRUNE_MARGIN_DB
+
+
+def deployment(seed: int, gateways: int = 1, channels=None):
+    """``random_observations``' traffic sent by one device per packet to
+    ``gateways`` gateways.  With one gateway every packet is heard at
+    its drawn RSSI; with more, each link draws an RSSI from 40 dB below
+    to 25 dB above the noise floor, so some packets are pruned at some
+    gateways (below ``NOISE - PRUNE_MARGIN_DB``) and heard at others.
+
+    Returns (gateways, devices, link, transmissions)."""
+    observations = random_observations(seed, channels=channels)
+    rng = random.Random(1000 + seed)
+    gws = [
+        Gateway(
+            gateway_id=7 + g,
+            network_id=1,
+            position=Position(-1.0 - g, 0.0),
+            channels=RX_CHANNELS,
+            model=get_model("RAK7268CV2"),
+        )
+        for g in range(gateways)
+    ]
+    devices, table = [], {}
+    for i, obs in enumerate(observations):
+        tx = obs.transmission
+        devices.append(
+            EndDevice(tx.node_id, tx.network_id, Position(float(i), 0.0), tx.channel)
+        )
+        for gw in gws:
+            rssi = obs.rssi_dbm if gateways == 1 else NOISE + rng.uniform(-40.0, 25.0)
+            table[(float(i), gw.position.x)] = tx.tx_power_dbm - rssi
+    link = LinkBudget(path_loss=TableLoss(table))
+    return gws, devices, link, [o.transmission for o in observations]
 
 
 def fates(result):
@@ -316,32 +366,129 @@ def fates(result):
     }
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_both_loops_see_identical_interferers(seed, monkeypatch):
-    observations = random_observations(seed)
-    txs = [o.transmission for o in observations]
-    by_tx = {tx_key(o.transmission): o for o in observations}
+def recording_interferers(monkeypatch):
+    """Record every ``_interferers_for`` answer by (gateway, packet) under
+    the label ``seen["label"]`` names at call time."""
     seen: Dict[str, Dict[tuple, List[Interferer]]] = {}
     original = Gateway._interferers_for
 
-    def recording(self, det, index):
-        found = original(self, det, index)
-        seen[current].setdefault(tx_key(det.tx), found)
+    def recording(self, det, hearing):
+        found = original(self, det, hearing)
+        seen[seen["label"]].setdefault((self.gateway_id, tx_key(det.tx)), found)
         return found
 
     monkeypatch.setattr(Gateway, "_interferers_for", recording)
-    current = "batch"
-    seen[current] = {}
-    batch = _FixedObservations([make_gateway()], observations).run(txs)
-    current = "online"
-    seen[current] = {}
-    online = _FixedObservations([make_gateway()], observations).run_online(txs)
+    return seen
+
+
+def start(seen, label):
+    seen["label"] = label
+    seen[label] = {}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_both_loops_see_identical_interferers(seed, monkeypatch):
+    gws, devices, link, txs = deployment(seed)
+    sim = OnlineSimulator(gws, devices, link=link)
+    observations = sim.observations_at(gws[0], txs)
+    assert len(observations) == len(txs)
+    by_tx = {tx_key(o.transmission): o for o in observations}
+    seen = recording_interferers(monkeypatch)
+    start(seen, "batch")
+    batch = sim.run(txs)
+    start(seen, "online")
+    online = sim.run_online(txs)
 
     assert seen["batch"] == seen["online"]
     assert len(seen["batch"]) > 0
-    for key, interferers in seen["batch"].items():
+    for (_gw, key), interferers in seen["batch"].items():
         assert interferers == reference_interferers(by_tx[key], observations)
     assert fates(batch) == fates(online)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_run_matches_each_gateway_receiving_its_own_batch(seed, monkeypatch):
+    # The run's shared index, read through each gateway's RSSI row,
+    # against Gateway.receive indexing that gateway's batch alone.
+    gws, devices, link, txs = deployment(seed, gateways=3)
+    sim = OnlineSimulator(gws, devices, link=link)
+    heard = {gw.gateway_id: sim.observations_at(gw, txs) for gw in gws}
+    assert 0 < min(len(obs) for obs in heard.values())
+    assert max(len(obs) for obs in heard.values()) < len(txs)  # some pruned
+    seen = recording_interferers(monkeypatch)
+    start(seen, "shared")
+    result = sim.run(txs)
+    online = sim.run_online(txs)
+    start(seen, "own")
+    for gw in gws:
+        alone = gw.receive(heard[gw.gateway_id])
+        in_run = [
+            r for tx in txs for r in result.records_for(tx)
+            if r.gateway_id == gw.gateway_id
+        ]
+        assert in_run == alone
+    assert seen["shared"] == seen["own"]
+    assert len(seen["shared"]) > 0
+    assert fates(online) == fates(result)
+
+
+def test_packet_pruned_at_one_gateway_interferes_only_at_the_other():
+    channel, sf = RX_CHANNELS[2], SpreadingFactor.SF9
+    txs = [
+        Transmission(node_id=i, network_id=1, channel=channel, sf=sf, start_s=0.01 * i)
+        for i in range(2)
+    ]
+    gws = [
+        Gateway(gid, 1, Position(-1.0 - gid, 0.0), RX_CHANNELS)
+        for gid in range(2)
+    ]
+    devices = [
+        EndDevice(tx.node_id, 1, Position(float(tx.node_id), 0.0), channel)
+        for tx in txs
+    ]
+    # Packet 0 is heard at both gateways; packet 1 only at gateway 1.
+    rssi = {(0, 0): NOISE + 10.0, (0, 1): NOISE + 10.0,
+            (1, 0): CUTOFF - 1.0, (1, 1): NOISE - 5.0}
+    table = {
+        (float(node), -1.0 - gid): 14.0 - value
+        for (node, gid), value in rssi.items()
+    }
+    sim = OnlineSimulator(gws, devices, link=LinkBudget(path_loss=TableLoss(table)))
+    medium = sim.medium(txs)
+    found = {}
+    for gw in gws:
+        obs = sim.observations_at(gw, txs, medium)
+        hearing = medium.hearing(gw)
+        me = next(o for o in obs if o.transmission is txs[0])
+        found[gw.gateway_id] = gw._interferers_for(_detection(me), hearing)
+        assert found[gw.gateway_id] == reference_interferers(me, obs)
+    assert [o.transmission for o in sim.observations_at(gws[0], txs)] == txs[:1]
+    assert found[0] == []
+    assert found[1] == [
+        Interferer(rssi_dbm=14.0 + 0.0 - table[(1.0, -2.0)], sf=sf, channel=channel)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_misaligned_plans_keep_the_bucket_start_position_order(seed):
+    # 50/100/150 kHz shifts put several channels in one 200 kHz bucket;
+    # the shared index must still list interferers in (bucket, start,
+    # position) order among the packets each gateway hears.
+    gws, devices, link, txs = deployment(
+        seed, gateways=2, channels=misaligned_channels()
+    )
+    assert len({bucket(tx) for tx in txs}) < len({tx.channel for tx in txs})
+    sim = OnlineSimulator(gws, devices, link=link)
+    medium = sim.medium(txs)
+    seen = 0
+    for gw in gws:
+        obs = sim.observations_at(gw, txs, medium)
+        hearing = medium.hearing(gw)
+        for o in obs:
+            got = gw._interferers_for(_detection(o), hearing)
+            assert got == reference_interferers(o, obs)
+            seen += len(got) > 1
+    assert seen > 0
 
 
 def test_detect_uses_the_gateway_memo():

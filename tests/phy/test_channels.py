@@ -1,5 +1,8 @@
 """Tests for channels, grids, and standard channel plans."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from repro.phy.channels import (
     ChannelPlan,
     overlap_hz,
     overlap_ratio,
+    spectrum_span_hz,
     standard_plans,
 )
 
@@ -34,6 +38,61 @@ class TestChannel:
 
     def test_ordering_by_frequency(self):
         assert ch(923.1) < ch(923.3)
+
+
+class TestEdgeCache:
+    """``low_hz`` and ``high_hz`` are computed once, at construction,
+    and are not dataclass fields."""
+
+    @pytest.mark.parametrize("bw_khz", [125.0, 250.0, 500.0, 62.5])
+    @pytest.mark.parametrize("center_mhz", [923.1, 923.15, 868.1, 902.3 + 1e-7])
+    def test_match_the_centre_and_bandwidth(self, center_mhz, bw_khz):
+        c = ch(center_mhz, bw_khz)
+        assert c.low_hz == c.center_hz - c.bandwidth_hz / 2.0
+        assert c.high_hz == c.center_hz + c.bandwidth_hz / 2.0
+
+    def test_replace_recomputes(self):
+        c = ch(923.1)
+        moved = dataclasses.replace(c, center_hz=923.3e6)
+        assert (moved.low_hz, moved.high_hz) == (923.3e6 - 62_500, 923.3e6 + 62_500)
+        wider = dataclasses.replace(c, bandwidth_hz=500e3)
+        assert (wider.low_hz, wider.high_hz) == (923.1e6 - 250e3, 923.1e6 + 250e3)
+        assert c.shifted(50e3).low_hz == c.low_hz + 50e3
+
+    def test_not_dataclass_fields(self):
+        assert [f.name for f in dataclasses.fields(Channel)] == [
+            "center_hz",
+            "bandwidth_hz",
+        ]
+        assert dataclasses.asdict(ch(923.1)) == {
+            "center_hz": 923.1e6,
+            "bandwidth_hz": 125e3,
+        }
+
+    def test_eq_hash_order_repr_see_only_fields(self):
+        a, b = Channel(923.1e6), Channel(923.1e6)
+        assert a == b and hash(a) == hash(b)
+        assert a != Channel(923.1e6, 250e3)
+        assert len({a, b, Channel(923.3e6)}) == 2
+        assert sorted([ch(923.3), ch(923.1, 500), ch(923.1)]) == [
+            ch(923.1),
+            ch(923.1, 500),
+            ch(923.3),
+        ]
+        assert repr(a) == "Channel(center_hz=923100000.0, bandwidth_hz=125000)"
+
+    def test_pickle_round_trip(self):
+        c = ch(923.15, 250)
+        back = pickle.loads(pickle.dumps(c))
+        assert back == c and hash(back) == hash(c)
+        assert (back.low_hz, back.high_hz) == (c.low_hz, c.high_hz)
+
+    def test_frozen(self):
+        c = ch(923.1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.low_hz = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.center_hz = 1.0
 
 
 class TestOverlap:
@@ -136,6 +195,13 @@ class TestChannelPlan:
         grid = ChannelGrid(start_hz=923.0e6, width_hz=1.6e6)
         plan = ChannelPlan.from_grid(grid, range(8))
         assert plan.span_hz == pytest.approx(7 * 200e3 + 125e3)
+
+    def test_span_of_mixed_bandwidths(self):
+        # The 500 kHz channel is second by centre but has the lowest edge.
+        plan = ChannelPlan("mixed", (ch(922.0), ch(922.05, 500), ch(923.47)))
+        assert plan.span_hz == pytest.approx(1.7325e6)
+        assert plan.span_hz == spectrum_span_hz(plan.channels)
+        assert ChannelPlan("empty").span_hz == 0.0
 
     def test_best_match(self):
         grid = ChannelGrid(start_hz=923.0e6, width_hz=1.6e6)

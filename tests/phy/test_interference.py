@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.phy.channels import Channel
+from repro.phy.channels import Channel, overlap_hz
 from repro.phy.interference import (
     CAPTURE_THRESHOLD_DB,
     CO_SF_CAPTURE_DB,
@@ -135,6 +135,42 @@ class TestDecode:
     def test_disjoint_channel_ignored(self):
         intf = self._intf(30.0, channel=CH.shifted(400e3))
         assert decode_ok(NOISE + 10, NOISE, SpreadingFactor.SF8, CH, [intf])
+
+
+class TestInterfererRecord:
+    """The fields, defaults and construction forms callers rely on."""
+
+    def test_fields_and_defaults(self):
+        assert Interferer._fields == ("rssi_dbm", "sf", "channel", "same_network")
+        assert Interferer._field_defaults == {"same_network": True}
+
+    def test_keyword_and_positional_construction(self):
+        by_name = Interferer(
+            rssi_dbm=NOISE + 3, sf=SpreadingFactor.SF9, channel=CH, same_network=False
+        )
+        assert by_name == Interferer(NOISE + 3, SpreadingFactor.SF9, CH, False)
+        assert (by_name.rssi_dbm, by_name.sf, by_name.channel) == (
+            NOISE + 3,
+            SpreadingFactor.SF9,
+            CH,
+        )
+        assert not by_name.same_network
+        assert Interferer(rssi_dbm=NOISE, sf=SpreadingFactor.SF7, channel=CH).same_network
+
+    def test_immutable(self):
+        intf = Interferer(NOISE, SpreadingFactor.SF7, CH)
+        with pytest.raises(AttributeError):
+            intf.rssi_dbm = 0.0
+
+    def test_out_of_range_overlap_still_rejected(self):
+        # A passband whose float edges span more than its bandwidth.
+        odd = Channel(923_100_000.1, BW)
+        wide = Channel(odd.center_hz, BW * (1.0 - 1e-15))
+        assert overlap_hz(wide, odd) / wide.bandwidth_hz > 1.0
+        with pytest.raises(ValueError, match=r"overlap ratio must be in \[0, 1\]"):
+            decode_ok(NOISE + 10, NOISE, SpreadingFactor.SF8, odd, [
+                Interferer(NOISE, SpreadingFactor.SF8, wide)
+            ])
 
 
 class TestSinr:

@@ -9,6 +9,7 @@ from repro.sim.metrics import (
     LossCause,
     classify_loss,
     loss_breakdown,
+    outcome_counts,
     service_ratio,
     spectrum_utilization,
     throughput_bps,
@@ -132,6 +133,31 @@ class TestSpectrumUtilization:
             assert 0 <= ch_idx < 8
             assert 0 <= dr < 6
             assert count >= 1
+
+
+class TestOutcomeCounts:
+    def test_counts_every_record_and_each_gateway_alone(self, plan_16, link):
+        net = build_network(
+            1, 3, 12, list(plan_16), seed=0, width_m=400, height_m=400
+        )
+        result = Simulator(net.gateways, net.devices, link=link).run(
+            capacity_burst(net.devices)
+        )
+        records = [r for recs in result.receptions.values() for r in recs]
+        want = {}
+        for r in records:
+            want[r.outcome.value] = want.get(r.outcome.value, 0) + 1
+        counts = outcome_counts(result)
+        assert counts == want and list(counts) == sorted(want)
+        total = 0
+        for gw in net.gateways:
+            mine = outcome_counts(result, gateway_id=gw.gateway_id)
+            assert sum(mine.values()) == sum(
+                r.gateway_id == gw.gateway_id for r in records
+            )
+            total += sum(mine.values())
+        assert total == len(records) > 0
+        assert outcome_counts(result, gateway_id=999) == {}
 
 
 class TestServiceRatio:
