@@ -5,19 +5,30 @@ preamble detection (:mod:`.detector`), FCFS decoder dispatch
 (:mod:`.dispatcher`, :mod:`.decoder`), payload decoding under
 interference (:mod:`repro.phy.interference`), and finally the sync-word
 network filter — which, crucially, runs *after* decoding, so foreign
-packets consume decoder resources before being discarded.
+packets consume decoder resources before being discarded.  The same
+loop applies the gateway's timeline: channel switches, reboots,
+decoder-pool resizes and backhaul faults.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 from ..obs import runtime as _obs
 from ..obs.events import EventType
-from ..obs.perf import Phase, phase_timed
+from ..obs.perf import Phase, PhaseStat, phase_timed
 from ..phy.channels import (
     INDEX_BUCKET_HZ,
     Channel,
@@ -33,7 +44,16 @@ from .detector import Detection, RxChannels, detect, match_rx_channel
 from .dispatcher import FcfsDispatcher
 from .models import GatewayModel, get_model
 
-__all__ = ["Outcome", "GatewayReception", "Gateway", "Hearing"]
+if TYPE_CHECKING:
+    from random import Random
+
+    # Imported for annotations only: repro.faults imports the Master
+    # stack, which imports this module.
+    from ..faults.plan import FaultPlan
+
+__all__ = [
+    "Outcome", "GatewayReception", "Gateway", "Hearing", "TimelineEvent",
+]
 
 # One interference-index row per indexed transmission, precomputed once:
 # (tx, start_s, end_s, low_hz, high_hz, position, sf, channel,
@@ -52,6 +72,19 @@ _TimeIndex = Tuple[Dict[int, Tuple[List[_Row], List[float], float]], int]
 def _row_start_s(row: _Row) -> float:
     """Sort key for the interference time index (hoisted: hot path)."""
     return row[1]
+
+
+def _arrival_order(txs: Sequence[Transmission]) -> List[int]:
+    """Indices of ``txs`` in ``(lock_on_s, network_id, node_id)`` order.
+
+    When no two lock-ons are equal the lock-on alone gives that order,
+    and float keys compare faster than tuples.
+    """
+    lock_ons = [tx.lock_on_s for tx in txs]
+    if len(set(lock_ons)) == len(lock_ons):
+        return sorted(range(len(txs)), key=lock_ons.__getitem__)
+    keys = [(tx.lock_on_s, tx.network_id, tx.node_id) for tx in txs]
+    return sorted(range(len(txs)), key=keys.__getitem__)
 
 
 class Hearing(NamedTuple):
@@ -100,6 +133,22 @@ class GatewayReception:
     def received(self) -> bool:
         """Whether the packet was successfully delivered to the backhaul."""
         return self.outcome is Outcome.RECEIVED
+
+
+@dataclass(frozen=True)
+class TimelineEvent:
+    """One gateway-side event on the simulated timeline.
+
+    Unifies reconfigurations (channel switch + reboot), fault-plan
+    crashes (reboot, channels unchanged) and decoder-pool resizes
+    (no reboot: busy decoders drain naturally).
+    """
+
+    time_s: float
+    channels: Optional[Tuple[Channel, ...]] = None
+    outage_s: float = 0.0
+    reboot: bool = False
+    decoders: Optional[int] = None
 
 
 class Gateway:
@@ -278,13 +327,25 @@ class Gateway:
         self,
         observations: Sequence[Observation],
         hearing: Optional[Hearing] = None,
+        timeline: Sequence[TimelineEvent] = (),
+        fault_plan: Optional[FaultPlan] = None,
     ) -> List[GatewayReception]:
-        """Process a batch of concurrent/overlapping observations.
+        """Run the reception pipeline over one window of observations.
 
         The batch should contain *every* transmission audible at this
         gateway within the simulated window (including foreign-network
         and below-sensitivity ones): they all shape detection, decoder
         occupancy, and interference.
+
+        Packets are served one at a time in ``(lock_on_s, network_id,
+        node_id)`` order, the hardware dispatcher's arrival order.  For
+        each, the timeline events due by its lock-on apply first, then
+        detection, FCFS admission (:meth:`FcfsDispatcher.admit`),
+        decoding, the sync-word filter and the backhaul.  Reception
+        events are emitted in the same order once the whole timeline
+        has run, because a later reboot can still turn an in-flight
+        reception into GATEWAY_OFFLINE.  The decoder pool starts empty
+        at the model's full size.
 
         Args:
             observations: The batch.
@@ -292,131 +353,264 @@ class Gateway:
                 hears it (:meth:`repro.sim.medium.Medium.hearing`); it
                 must hear exactly ``observations``.  By default the
                 batch is indexed on its own.
+            timeline: This gateway's events in time order (empty for a
+                static window).  Events after the last lock-on are not
+                applied.
+            fault_plan: Draws backhaul drops and delays for received
+                packets; its crashes and degradations arrive through
+                ``timeline``.
 
         Returns:
             One reception record per observation, in input order.
         """
-        self.pool.reset()
+        pool = self.pool
+        pool.reset()
+        pool.resize(self.model.decoders)  # undo an earlier degradation
         if hearing is None:
             hearing = self._hearing(observations)
-        detections: List[Detection] = []
-        prelim: Dict[int, GatewayReception] = {}
+        admit = FcfsDispatcher(pool).admit
+        gw_id = self.gateway_id
+        noise_figure = self.noise_figure_db
         rec_trace = _obs.TRACE
+        health = _obs.HEALTH
+        # Per-packet phase stats are hoisted out of the loop: with the
+        # probe off each hook is one ``is not None`` check.
+        probe = _obs.PERF
+        st_timeline: Optional[PhaseStat] = None
+        st_detect: Optional[PhaseStat] = None
+        st_dispatch: Optional[PhaseStat] = None
+        st_decode: Optional[PhaseStat] = None
+        if probe is not None:
+            st_timeline = probe.stat(Phase.TIMELINE)
+            st_detect = probe.stat(Phase.DETECT)
+            st_dispatch = probe.stat(Phase.DISPATCH)
+            st_decode = probe.stat(Phase.DECODE)
+        backhaul: Optional[Tuple[FaultPlan, Random]] = None
+        if fault_plan is not None and fault_plan.backhaul_faults:
+            backhaul = (fault_plan, fault_plan.rng(f"backhaul:gw{gw_id}"))
 
-        with phase_timed(Phase.DETECT, items=len(observations)):
-            for idx, obs in enumerate(observations):
-                tx = obs.transmission
-                det = detect(
-                    obs, self._channels, noise_figure_db=self.noise_figure_db
-                )
-                if det is not None:
-                    detections.append(det)
-                    prelim[idx] = None  # resolved by dispatch below
+        channels = self._channels
+        offline_until = float("-inf")
+        pending, n_events = 0, len(timeline)
+        txs = [obs.transmission for obs in observations]
+        order = _arrival_order(txs)
+        records: List[Optional[GatewayReception]] = [None] * len(txs)
+        # (end_s, index, record) of every decoded reception since the
+        # last reboot: each entry is checked by at most one reboot.
+        in_flight: List[Tuple[float, int, GatewayReception]] = []
+        for i in order:
+            obs = observations[i]
+            tx = txs[i]
+            now = tx.lock_on_s
+            if health is not None:
+                # Advance the gateway's sim clock so windowed aggregates
+                # prune and alert rules tick even through quiet spells.
+                health.advance_gateway(gw_id, now)
+            while pending < n_events and timeline[pending].time_s <= now:
+                ev = timeline[pending]
+                pending += 1
+                if st_timeline is not None:
+                    st_timeline.end(None)  # count-only: events are rare
+                if ev.channels is not None:
+                    # Detection keeps the event's channel order (it
+                    # breaks overlap ties); the gateway stores it sorted.
+                    channels = RxChannels(ev.channels)
+                    self.configure(channels)
+                if ev.decoders is not None:
+                    pool.resize(ev.decoders)
                     if rec_trace is not None:
                         rec_trace.emit(
-                            EventType.GW_LOCK_ON,
-                            t=det.lock_on_s,
-                            gw=self.gateway_id,
+                            EventType.POOL_RESIZE,
+                            t=ev.time_s,
+                            gw=gw_id,
+                            decoders=ev.decoders,
+                        )
+                if not ev.reboot:
+                    continue
+                self.reboot()  # aborts in-flight receptions (pool reset)
+                if rec_trace is not None:
+                    rec_trace.emit(
+                        EventType.GW_REBOOT,
+                        t=ev.time_s,
+                        gw=gw_id,
+                        outage=ev.outage_s,
+                        reason="reconfig" if ev.channels is not None else "crash",
+                    )
+                offline_until = max(offline_until, ev.time_s + ev.outage_s)
+                # Receptions still on air when the radio restarts are
+                # lost; every other field of the record is preserved so
+                # metrics attribution stays honest.
+                for end_s, j, record in in_flight:
+                    if end_s > ev.time_s:
+                        # Justified allocation: this loop runs once per
+                        # outage (not per packet) and the reception
+                        # records are frozen dataclasses by contract.
+                        records[j] = replace(  # repro: noqa[PERF001]
+                            record,
+                            outcome=Outcome.GATEWAY_OFFLINE,
+                            backhaul_delay_s=0.0,
+                        )
+                in_flight = []
+
+            if now < offline_until:
+                records[i] = GatewayReception(
+                    gateway_id=gw_id,
+                    transmission=tx,
+                    outcome=Outcome.GATEWAY_OFFLINE,
+                )
+                continue
+
+            # Each stage's phase also covers its direct outcome: the
+            # record of a packet the stage ends, or the trace event.
+            t0 = st_detect.begin() if st_detect is not None else None
+            det = detect(obs, channels, noise_figure_db=noise_figure)
+            if det is None:
+                records[i] = GatewayReception(
+                    gateway_id=gw_id,
+                    transmission=tx,
+                    outcome=(
+                        Outcome.CHANNEL_MISMATCH
+                        if match_rx_channel(tx.channel, channels) is None
+                        else Outcome.BELOW_SENSITIVITY
+                    ),
+                )
+            elif rec_trace is not None:
+                rec_trace.emit(
+                    EventType.GW_LOCK_ON,
+                    t=det.lock_on_s,
+                    gw=gw_id,
+                    net=tx.network_id,
+                    node=tx.node_id,
+                    ctr=tx.counter,
+                    att=tx.attempt,
+                    snr_db=det.snr_db,
+                )
+            if st_detect is not None:
+                st_detect.end(t0)
+            if det is None:
+                continue
+
+            t0 = st_dispatch.begin() if st_dispatch is not None else None
+            admission = admit(det)
+            if admission.lease is None:
+                records[i] = GatewayReception(
+                    gateway_id=gw_id,
+                    transmission=tx,
+                    outcome=Outcome.NO_DECODER,
+                    rx_channel=det.rx_channel,
+                    snr_db=det.snr_db,
+                    lock_on_s=det.lock_on_s,
+                    blocker_network_ids=tuple(
+                        lease.holder_network_id for lease in admission.blockers
+                    ),
+                )
+            if st_dispatch is not None:
+                st_dispatch.end(t0)
+            if admission.lease is None:
+                continue
+
+            t0 = st_decode.begin() if st_decode is not None else None
+            if self.collision_resilient:
+                # CIC-style PHY: interference is resolved, only the
+                # noise threshold matters (already checked by detect).
+                ok = True
+            else:
+                ok = decode_ok(
+                    obs.rssi_dbm,
+                    noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure),
+                    tx.sf,
+                    det.rx_channel,
+                    self._interferers_for(det, hearing),
+                )
+            backhaul_delay_s = 0.0
+            if not ok:
+                outcome = Outcome.DECODE_FAILED
+            elif tx.network_id != self.network_id:
+                outcome = Outcome.FILTERED_FOREIGN
+            elif backhaul is None:
+                outcome = Outcome.RECEIVED
+            else:
+                outcome, backhaul_delay_s = self._backhaul(tx, *backhaul)
+            record = GatewayReception(
+                gateway_id=gw_id,
+                transmission=tx,
+                outcome=outcome,
+                rx_channel=det.rx_channel,
+                snr_db=det.snr_db,
+                lock_on_s=det.lock_on_s,
+                backhaul_delay_s=backhaul_delay_s,
+            )
+            records[i] = record
+            in_flight.append((tx.end_s, i, record))
+            if st_decode is not None:
+                st_decode.end(t0)
+
+        done = cast(List[GatewayReception], records)
+        metrics = _obs.METRICS
+        with phase_timed(Phase.EMIT, items=len(done)):
+            if rec_trace is not None or metrics is not None:
+                for i in order:
+                    record = done[i]
+                    tx = record.transmission
+                    outcome_value = record.outcome.value
+                    if rec_trace is not None:
+                        rec_trace.emit(
+                            EventType.GW_RECEPTION,
+                            t=tx.start_s,
+                            gw=gw_id,
                             net=tx.network_id,
                             node=tx.node_id,
                             ctr=tx.counter,
                             att=tx.attempt,
-                            snr_db=det.snr_db,
+                            outcome=outcome_value,
                         )
-                    continue
-                if match_rx_channel(tx.channel, self._channels) is None:
-                    outcome = Outcome.CHANNEL_MISMATCH
-                else:
-                    outcome = Outcome.BELOW_SENSITIVITY
-                prelim[idx] = GatewayReception(
-                    gateway_id=self.gateway_id,
-                    transmission=tx,
-                    outcome=outcome,
+                    if metrics is not None:
+                        metrics.counter(
+                            "repro_outcomes_total",
+                            "per-gateway reception outcomes",
+                            outcome=outcome_value,
+                        ).inc()
+        return done
+
+    def _backhaul(
+        self, tx: Transmission, fault_plan: FaultPlan, rng: Random
+    ) -> Tuple[Outcome, float]:
+        """A received packet's fate on the way to the network server.
+
+        Returns the outcome and the extra delay under the backhaul fault
+        active when the packet ends, if any.
+        """
+        fault = fault_plan.backhaul_at(self.gateway_id, tx.end_s)
+        if fault is None:
+            return Outcome.RECEIVED, 0.0
+        rec_trace = _obs.TRACE
+        if rng.random() < fault.drop_prob:
+            if rec_trace is not None:
+                rec_trace.emit(
+                    EventType.BACKHAUL_DROP,
+                    t=tx.end_s,
+                    gw=self.gateway_id,
+                    net=tx.network_id,
+                    node=tx.node_id,
+                    ctr=tx.counter,
+                    att=tx.attempt,
                 )
-
-        results_by_tx: Dict[tuple, GatewayReception] = {}
-        dispatcher = FcfsDispatcher(self.pool)
-        dispatched = dispatcher.dispatch(detections)
-        with phase_timed(Phase.DECODE, items=len(dispatched)):
-            for res in dispatched:
-                det = res.detection
-                tx = det.tx
-                if not res.admitted:
-                    record = GatewayReception(
-                        gateway_id=self.gateway_id,
-                        transmission=tx,
-                        outcome=Outcome.NO_DECODER,
-                        rx_channel=det.rx_channel,
-                        snr_db=det.snr_db,
-                        lock_on_s=det.lock_on_s,
-                        blocker_network_ids=tuple(
-                            lease.holder_network_id for lease in res.blockers
-                        ),
-                    )
-                else:
-                    noise = noise_floor_dbm(
-                        tx.channel.bandwidth_hz, self.noise_figure_db
-                    )
-                    if self.collision_resilient:
-                        # CIC-style PHY: interference is resolved, only
-                        # the noise threshold matters (already checked
-                        # at detection time).
-                        ok = True
-                    else:
-                        ok = decode_ok(
-                            det.observation.rssi_dbm,
-                            noise,
-                            tx.sf,
-                            det.rx_channel,
-                            self._interferers_for(det, hearing),
-                        )
-                    if not ok:
-                        outcome = Outcome.DECODE_FAILED
-                    elif tx.network_id != self.network_id:
-                        outcome = Outcome.FILTERED_FOREIGN
-                    else:
-                        outcome = Outcome.RECEIVED
-                    record = GatewayReception(
-                        gateway_id=self.gateway_id,
-                        transmission=tx,
-                        outcome=outcome,
-                        rx_channel=det.rx_channel,
-                        snr_db=det.snr_db,
-                        lock_on_s=det.lock_on_s,
-                    )
-                results_by_tx[self._tx_key(tx)] = record
-
-        out: List[GatewayReception] = []
-        metrics = _obs.METRICS
-        with phase_timed(Phase.EMIT, items=len(observations)):
-            for idx, obs in enumerate(observations):
-                rec = prelim[idx]
-                if rec is None:
-                    rec = results_by_tx[self._tx_key(obs.transmission)]
-                out.append(rec)
-                tx = rec.transmission
-                if rec_trace is not None:
-                    rec_trace.emit(
-                        EventType.GW_RECEPTION,
-                        t=tx.start_s,
-                        gw=self.gateway_id,
-                        net=tx.network_id,
-                        node=tx.node_id,
-                        ctr=tx.counter,
-                        att=tx.attempt,
-                        outcome=rec.outcome.value,
-                    )
-                if metrics is not None:
-                    metrics.counter(
-                        "repro_outcomes_total",
-                        "per-gateway reception outcomes",
-                        outcome=rec.outcome.value,
-                    ).inc()
-        return out
-
-    @staticmethod
-    def _tx_key(tx: Transmission) -> tuple:
-        return (tx.network_id, tx.node_id, tx.counter, tx.start_s)
+            return Outcome.BACKHAUL_LOST, 0.0
+        if fault.delay_mean_s > 0 or fault.delay_jitter_s > 0:
+            delay_s = fault.delay_mean_s + rng.uniform(0.0, fault.delay_jitter_s)
+            if rec_trace is not None:
+                rec_trace.emit(
+                    EventType.BACKHAUL_DELAY,
+                    t=tx.end_s,
+                    gw=self.gateway_id,
+                    net=tx.network_id,
+                    node=tx.node_id,
+                    ctr=tx.counter,
+                    att=tx.attempt,
+                    delay=delay_s,
+                )
+            return Outcome.RECEIVED, delay_s
+        return Outcome.RECEIVED, 0.0
 
     def __repr__(self) -> str:
         freqs = ", ".join(f"{c.center_hz / 1e6:.4f}" for c in self._channels)

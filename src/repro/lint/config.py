@@ -59,7 +59,6 @@ class LintConfig:
     )
     pure_roots: Tuple[str, ...] = (
         "repro.sim.engine.OnlineSimulator.run_online",
-        "repro.sim.engine.OnlineSimulator._run_gateway",
         "repro.gateway.gateway.Gateway.receive",
         "repro.phy.interference.decode_ok",
     )

@@ -15,7 +15,8 @@ The three analyses (DESIGN.md section 9 has the full contracts):
   reachable but not descended into.
 * **RACE001/RACE002 lock discipline** — for each class holding a
   ``threading.Lock``/``RLock`` attribute, infer which attributes that
-  lock guards from ``with self._lock:`` regions, then flag mutations
+  lock guards from ``with self._lock:`` regions (or ``acquire()`` and a
+  ``try`` whose ``finally`` releases it), then flag mutations
   outside the guard (RACE001) and calls made while holding a lock into
   functions that themselves acquire locks (RACE002; re-entrant
   same-RLock acquisition is exempt, same-plain-Lock is a deadlock).
@@ -208,6 +209,7 @@ def _classify_impure(
 def det010_transitive_purity(
     index: ProgramIndex, config: LintConfig
 ) -> Iterable[Finding]:
+    yield from _unresolved_roots(index, config)
     # One BFS per root (rather than one merged walk) so that every
     # root's chain to a shared callee survives: a call-site noqa on one
     # root's edge must not hide the chain arriving from another root.
@@ -251,6 +253,45 @@ def det010_transitive_purity(
                 f"impure {category} access {detail} reachable from pure "
                 f"root {_display(chain[0])} via {rendered}",
             )
+
+
+def _unresolved_roots(
+    index: ProgramIndex, config: LintConfig
+) -> Iterable[Finding]:
+    """Configured roots naming no function of a module being linted.
+
+    The traversal skips a root it cannot find, so a renamed or deleted
+    root would otherwise drop out of DET010 and PERF001/PERF002 without
+    a word.  A root is ``module.function`` or ``module.Class.method``;
+    the finding sits on the module's first line.  A root whose module
+    is not part of the linted tree is left alone, as is
+    ``package.name.function`` when the package has no class ``name``
+    (``name`` may be a module outside the tree).
+    """
+    modules = {info.module: info for info in index.modules.values()}
+    for root in config.pure_roots:
+        if root in index.functions:
+            continue
+        owner = root.rpartition(".")[0]
+        module = modules.get(owner)
+        if module is None:
+            module = modules.get(owner.rpartition(".")[0])
+            if module is None or (
+                module.relpath.endswith("__init__.py")
+                and owner not in index.classes
+            ):
+                continue
+        yield Finding(
+            path=module.relpath,
+            line=1,
+            col=0,
+            rule_id="DET010",
+            message=(
+                f"configured pure root {_display(root)} names no function "
+                f"in {_display(module.module)}; DET010 and PERF001/PERF002 "
+                "cannot start from it"
+            ),
+        )
 
 
 def _first_hop_suppressed(
@@ -336,6 +377,18 @@ def _self_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _released_self_attr(stmt: ast.stmt) -> Optional[str]:
+    """``self.X.release()`` as a statement -> ``X``."""
+    if (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Call)
+        and isinstance(stmt.value.func, ast.Attribute)
+        and stmt.value.func.attr == "release"
+    ):
+        return _self_attr(stmt.value.func.value)
+    return None
+
+
 def _mutated_self_attr(target: ast.AST) -> Optional[str]:
     """The ``self`` attribute a store-target mutates, if any."""
     attr = _self_attr(target)
@@ -407,6 +460,20 @@ def _collect_lock_facts(
             inner = held | frozenset(acquired)
             for stmt in node.body:
                 walk(stmt, inner)
+            return
+        if isinstance(node, ast.Try) and node.finalbody:
+            # ``self._lock.acquire()`` then ``try: ... finally:
+            # self._lock.release()`` holds the lock like ``with`` does.
+            released = frozenset(
+                lock_tokens[attr]
+                for attr in map(_released_self_attr, node.finalbody)
+                if attr is not None and attr in lock_tokens
+            )
+            inner = held | released
+            for child in (*node.body, *node.handlers, *node.orelse):
+                walk(child, inner)
+            for stmt in node.finalbody:
+                walk(stmt, held)
             return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested defs: body runs when called, not here; treat its

@@ -39,8 +39,20 @@ import math
 import re
 import threading
 from collections import Counter as _Counter
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    DefaultDict,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .events import EventType
 from .metrics import Histogram, MetricsRegistry
@@ -128,12 +140,11 @@ class WindowedCounter:
             raise ValueError("window and bucket must be positive")
         self.window_s = window_s
         self.bucket_s = bucket_s
-        self._bins: Dict[int, float] = {}
+        self._bins: DefaultDict[int, float] = defaultdict(float)
 
     def add(self, t: float, n: float = 1.0) -> None:
         """Record ``n`` events at sim time ``t``."""
-        idx = int(t // self.bucket_s)
-        self._bins[idx] = self._bins.get(idx, 0.0) + n
+        self._bins[int(t // self.bucket_s)] += n
 
     def total(self, now_s: float) -> float:
         """Sum of events inside ``[now - window, now]``."""
@@ -433,7 +444,9 @@ class _GatewayState:
         self.backhaul_drops = WindowedCounter(window_s, bucket_s)
         self.backhaul_delay = Ewma()
         self.airtime = Histogram(buckets=_AIRTIME_BUCKETS)
-        self.outcomes: _Counter = _Counter()
+        # A defaultdict, not a Counter: a Counter's item update is
+        # several times slower, and this runs once per reception event.
+        self.outcomes: DefaultDict[str, int] = defaultdict(int)
         self.reboots = 0
 
     @property
@@ -441,17 +454,45 @@ class _GatewayState:
         """Best estimate of the decoder-pool size (>= 1)."""
         return max(self._known_pool, self._max_decoder, 1)
 
-    def grant(self, t: float, until: float, decoder_index: int) -> None:
+    # Event handlers, one per gateway event type (``_GATEWAY_HANDLERS``).
+
+    def on_lock_on(self, t: float, fields: Mapping[str, Any]) -> None:
+        self.lock_ons.add(t)
+
+    def on_grant(self, t: float, fields: Mapping[str, Any]) -> None:
+        until = float(fields.get("until", t))
+        decoders = int(fields.get("dec", 0)) + 1
         heapq.heappush(self._leases, until)
         self.grants.add(t)
         self.airtime.observe(max(until - t, 0.0))
-        self._max_decoder = max(self._max_decoder, decoder_index + 1)
+        if decoders > self._max_decoder:
+            self._max_decoder = decoders
 
-    def resize(self, decoders: int) -> None:
-        self._known_pool = decoders
+    def on_reject(self, t: float, fields: Mapping[str, Any]) -> None:
+        # The engine emits GW_LOCK_ON for every detection, rejected
+        # ones included, so a reject must not count as a second
+        # lock-on or contention_rate would saturate at 0.5.
+        self.rejects.add(t)
+
+    def on_reception(self, t: float, fields: Mapping[str, Any]) -> None:
+        outcome = str(fields.get("outcome", ""))
+        self.receptions.add(t)
+        self.outcomes[outcome] += 1
+        if outcome != "received":
+            self.losses.add(t)
+
+    def on_backhaul_drop(self, t: float, fields: Mapping[str, Any]) -> None:
+        self.backhaul_drops.add(t)
+
+    def on_backhaul_delay(self, t: float, fields: Mapping[str, Any]) -> None:
+        self.backhaul_delay.update(float(fields.get("delay", 0.0)), t)
+
+    def on_resize(self, t: float, fields: Mapping[str, Any]) -> None:
+        self._known_pool = int(fields.get("decoders", 0))
         self._max_decoder = 0  # re-learn under the new size
 
-    def reboot(self, t: float, outage_s: float) -> None:
+    def on_reboot(self, t: float, fields: Mapping[str, Any]) -> None:
+        outage_s = float(fields.get("outage", 0.0))
         self.offline_until_s = max(self.offline_until_s, t + outage_s)
         self.reboots += 1
         self._leases.clear()  # in-flight receptions were aborted
@@ -477,6 +518,20 @@ class _GatewayState:
             "reception_rate": self.receptions.rate(now_s),
             "offline": 1.0 if now_s < self.offline_until_s else 0.0,
         }
+
+
+_GATEWAY_HANDLERS: Dict[
+    str, Callable[[_GatewayState, float, Mapping[str, Any]], None]
+] = {
+    EventType.GW_LOCK_ON: _GatewayState.on_lock_on,
+    EventType.DECODER_GRANT: _GatewayState.on_grant,
+    EventType.DECODER_REJECT: _GatewayState.on_reject,
+    EventType.GW_RECEPTION: _GatewayState.on_reception,
+    EventType.BACKHAUL_DROP: _GatewayState.on_backhaul_drop,
+    EventType.BACKHAUL_DELAY: _GatewayState.on_backhaul_delay,
+    EventType.POOL_RESIZE: _GatewayState.on_resize,
+    EventType.GW_REBOOT: _GatewayState.on_reboot,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -527,66 +582,34 @@ class HealthMonitor:
         self, etype: str, t: Optional[float], fields: Mapping[str, Any]
     ) -> None:
         """Ingest one trace event (the recorder-listener entry point)."""
-        with self._lock:
+        # Not ``with``: this runs once per trace event, and entering a
+        # lock with ``with`` costs about twice ``acquire``/``release``.
+        self._lock.acquire()
+        try:
             self.events_seen += 1
             gw_id = fields.get("gw")
-            state = None
             if isinstance(gw_id, int):
                 state = self._gateways.get(gw_id)
                 if state is None:
                     state = _GatewayState(self.window_s, self.bucket_s)
                     self._gateways[gw_id] = state
-            if state is not None and t is not None:
-                self._ingest_gateway(etype, t, fields, state)
-                self._advance_locked(gw_id, state, t)
-                if etype == EventType.GW_REBOOT:
-                    # A crash must alert at the crash instant, not at
-                    # the next tick boundary.
-                    self._evaluate_gateway_locked(gw_id, state, state.clock_s)
-            elif etype in (
-                EventType.MASTER_DROPPED,
-                EventType.MASTER_UNAVAILABLE,
-                EventType.MASTER_RETRY,
-                EventType.MASTER_READONLY,
-                EventType.MASTER_CRASH,
-                EventType.MASTER_RECOVERED,
-                EventType.MASTER_CONN_REAPED,
-                EventType.NETSERVER_DEGRADED,
-            ):
+                if t is not None:
+                    handler = _GATEWAY_HANDLERS.get(etype)
+                    if handler is not None:
+                        handler(state, t, fields)
+                    if t > state.clock_s:
+                        self._advance_locked(gw_id, state, t)
+                    if etype == EventType.GW_REBOOT:
+                        # A crash must alert at the crash instant, not
+                        # at the next tick boundary.
+                        self._evaluate_gateway_locked(gw_id, state, state.clock_s)
+                    return
+            if etype in self._GLOBAL_METRIC_OF_EVENT:
                 self._ingest_global(etype)
             elif etype == EventType.SIM_RUN_END:
                 self._evaluate_all_locked()
-
-    def _ingest_gateway(
-        self,
-        etype: str,
-        t: float,
-        fields: Mapping[str, Any],
-        state: _GatewayState,
-    ) -> None:
-        if etype == EventType.GW_LOCK_ON:
-            state.lock_ons.add(t)
-        elif etype == EventType.DECODER_GRANT:
-            state.grant(t, float(fields.get("until", t)), int(fields.get("dec", 0)))
-        elif etype == EventType.DECODER_REJECT:
-            # The engine emits GW_LOCK_ON for every detection, rejected
-            # ones included, so a reject must not count as a second
-            # lock-on or contention_rate would saturate at 0.5.
-            state.rejects.add(t)
-        elif etype == EventType.GW_RECEPTION:
-            outcome = str(fields.get("outcome", ""))
-            state.receptions.add(t)
-            state.outcomes[outcome] += 1
-            if outcome != "received":
-                state.losses.add(t)
-        elif etype == EventType.BACKHAUL_DROP:
-            state.backhaul_drops.add(t)
-        elif etype == EventType.BACKHAUL_DELAY:
-            state.backhaul_delay.update(float(fields.get("delay", 0.0)), t)
-        elif etype == EventType.POOL_RESIZE:
-            state.resize(int(fields.get("decoders", 0)))
-        elif etype == EventType.GW_REBOOT:
-            state.reboot(t, float(fields.get("outage", 0.0)))
+        finally:
+            self._lock.release()
 
     _GLOBAL_METRIC_OF_EVENT = {
         EventType.MASTER_DROPPED: "master_dropped",

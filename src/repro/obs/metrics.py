@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS"]
@@ -97,11 +98,11 @@ class Histogram:
         """Record one observation."""
         self.sum += value
         self.count += 1
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first edge >= value; NaN (never <= an edge) lands in +Inf.
+        edges = self.edges
+        self.bucket_counts[
+            bisect_left(edges, value) if value == value else len(edges)
+        ] += 1
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """``(le, cumulative_count)`` pairs, ending with ``+Inf``."""

@@ -11,9 +11,9 @@ LoRaWAN has no user-gateway association).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..gateway.gateway import Gateway, GatewayReception, Outcome
+from ..gateway.gateway import Gateway, GatewayReception, Outcome, TimelineEvent
 from ..node.device import EndDevice
 from ..obs import runtime as _obs
 from ..obs.events import EventType
@@ -22,6 +22,9 @@ from ..obs.profiling import span
 from ..types import Observation, Transmission
 from .medium import Medium
 from .topology import LinkBudget
+
+if TYPE_CHECKING:
+    from ..faults.plan import FaultPlan
 
 __all__ = ["SimulationResult", "Simulator", "TxKey"]
 
@@ -166,6 +169,21 @@ class Simulator:
 
     def run(self, transmissions: Sequence[Transmission]) -> SimulationResult:
         """Simulate one window of traffic across all gateways."""
+        return self._run(transmissions)
+
+    def _run(
+        self,
+        transmissions: Sequence[Transmission],
+        online: bool = False,
+        timelines: Optional[Mapping[int, Sequence[TimelineEvent]]] = None,
+        fault_plan: Optional[FaultPlan] = None,
+    ) -> SimulationResult:
+        """One simulated run, shared by :meth:`run` and the online engine.
+
+        Each gateway receives what it hears on the run's medium, under
+        its timeline in ``timelines`` (by gateway id; none by default)
+        and ``fault_plan``'s backhaul faults.
+        """
         result = SimulationResult(
             transmissions=list(transmissions), gateways=self.gateways
         )
@@ -177,7 +195,7 @@ class Simulator:
                 run=run_index,
                 txs=len(result.transmissions),
                 gateways=len(self.gateways),
-                online=False,
+                online=online,
             )
         probe = _obs.PERF
         if probe is not None:
@@ -186,14 +204,17 @@ class Simulator:
                 min((t.start_s for t in result.transmissions), default=0.0),
                 max((t.end_s for t in result.transmissions), default=0.0),
             )
-        with span("sim.run"):
+        with span("sim.run_online" if online else "sim.run"):
             slots = record_slots(result)
             medium = self.medium(result.transmissions)
             for gw in self.gateways:
                 with span("gateway"):
                     with phase_timed(Phase.OBSERVE, items=len(transmissions)):
                         obs = self.observations_at(gw, transmissions, medium)
-                    records = gw.receive(obs, medium.hearing(gw))
+                    timeline = timelines.get(gw.gateway_id, ()) if timelines else ()
+                    records = gw.receive(
+                        obs, medium.hearing(gw), timeline, fault_plan
+                    )
                     with phase_timed(Phase.COLLECT, items=len(records)):
                         for record in records:
                             slots[id(record.transmission)].append(record)

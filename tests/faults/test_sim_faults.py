@@ -15,7 +15,7 @@ from repro.sim.engine import OFFLINE_OUTCOME, OnlineSimulator
 from repro.sim.metrics import outcome_counts, retry_delivery_breakdown
 from repro.sim.resilience import run_with_retransmissions
 from repro.sim.scenario import build_network
-from repro.sim.simulator import tx_key
+from repro.sim.simulator import Simulator, tx_key
 
 
 @pytest.fixture
@@ -165,6 +165,24 @@ class TestDecoderDegradation:
         result = _sim(net, link).run_online([a, b], fault_plan=plan)
         for tx in (a, b):
             assert _records(result, tx)[0].outcome is Outcome.RECEIVED
+
+    def test_degraded_pool_does_not_leak_into_later_runs(self, net, link):
+        """A permanent degradation ends with its run: the next window
+        starts from the model's full decoder count."""
+        burst = [dev.transmit(5.0) for dev in net.devices]
+        batch = Simulator(net.gateways, net.devices, link=link)
+        before = outcome_counts(batch.run(burst))
+        assert before == {"received": len(burst)}
+        plan = FaultPlan(
+            decoder_degradations=(
+                DecoderDegradation(time_s=1.0, gateway_id=0, decoders=1),
+            )
+        )
+        degraded = _sim(net, link).run_online(burst, fault_plan=plan)
+        assert outcome_counts(degraded)["no_decoder"] == len(burst) - 1
+        assert outcome_counts(batch.run(burst)) == before
+        gw = net.gateways[0]
+        assert gw.pool.capacity == gw.model.decoders
 
 
 class TestRetransmission:

@@ -103,6 +103,33 @@ class TestDet010:
         assert {f.rule_id for f in report.findings} == {"DET010"}
         assert {f.path for f in report.findings} == {"src/repro/telem.py"}
 
+    def test_root_naming_no_function_is_reported(self, tmp_path):
+        """A renamed root must not silently drop out of the pass; a root
+        outside the linted tree is not this run's to judge."""
+        root = stage(
+            tmp_path,
+            {
+                "det010_pass.py": "src/repro/engine.py",
+                "det010_pass_clock.py": "src/repro/clock.py",
+                "det010_pass_telem.py": "src/repro/telem.py",
+            },
+        )
+        config = LintConfig(
+            wall_clock_modules=("src/repro/telem.py",),
+            wall_clock_sites=(),
+            pure_roots=(
+                "repro.engine.run_loop",
+                "repro.engine.Engine.run_loop",
+                "repro.elsewhere.run_loop",
+            ),
+        )
+        report = run_deep(["src"], root=root, config=config)
+        assert report.parse_errors == []
+        (finding,) = report.findings
+        assert finding.rule_id == "DET010"
+        assert (finding.path, finding.line) == ("src/repro/engine.py", 1)
+        assert "engine.Engine.run_loop names no function" in finding.message
+
 
 class TestRace001:
     def test_dropped_requests_race_shape_is_caught(self, tmp_path):
@@ -131,6 +158,40 @@ class TestRace001:
         report = run_deep(["src"], root=root, config=LOCK_CONFIG)
         assert report.parse_errors == []
         assert report.findings == []
+
+    def test_acquire_then_try_finally_release_holds_the_lock(self, tmp_path):
+        """Only the ``try`` whose ``finally`` releases the lock is held."""
+        source = (
+            "import threading\n\n\n"
+            "class Server:\n"
+            "    def __init__(self) -> None:\n"
+            "        self._lock = threading.Lock()\n"
+            "        self._seen = 0\n\n"
+            "    def guarded(self) -> None:\n"
+            "        with self._lock:\n"
+            "            self._seen += 1\n\n"
+            "    def fast(self) -> None:\n"
+            "        self._lock.acquire()\n"
+            "        try:\n"
+            "            self._seen += 1\n"
+            "        finally:\n"
+            "            self._lock.release()\n\n"
+            "    def late(self) -> None:\n"
+            "        try:\n"
+            "            pass\n"
+            "        finally:\n"
+            "            print()\n"
+            "        self._seen += 1  # not held\n"
+        )
+        module = tmp_path / "src" / "repro" / "server.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(source)
+        (tmp_path / "src" / "repro" / "__init__.py").write_text("")
+        report = run_deep(["src"], root=str(tmp_path), config=LOCK_CONFIG)
+        assert report.parse_errors == []
+        (finding,) = report.findings
+        assert finding.rule_id == "RACE001"
+        assert source.splitlines()[finding.line - 1].endswith("# not held")
 
 
 class TestRace002:

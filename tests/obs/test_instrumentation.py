@@ -5,6 +5,8 @@ and verifies that the emitted events and metric counters agree with the
 returned reception records — the invariants the trace loader relies on.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.gateway.gateway import Outcome
@@ -12,6 +14,7 @@ from repro.node.traffic import capacity_burst
 from repro.obs import observe
 from repro.obs.events import EventType
 from repro.sim.engine import OnlineSimulator, Reconfiguration
+from repro.sim.scenario import assign_orthogonal_combos, build_network
 from repro.sim.simulator import Simulator
 
 
@@ -71,7 +74,59 @@ class TestBatchInstrumentation:
         assert summary["sim.run/gateway"]["count"] == len(
             compact_network.gateways
         )
-        assert "sim.run/gateway/gw.dispatch" in summary
+
+    def test_admission_follows_its_lock_on(self, plan_16, link):
+        """Each packet's grant or reject comes right after its lock-on,
+        on every gateway; only the pool's reclaims may come between."""
+        net = build_network(
+            network_id=1,
+            num_gateways=2,
+            num_nodes=20,
+            channels=list(plan_16),
+            seed=1,
+            width_m=200.0,
+            height_m=200.0,
+        )
+        assign_orthogonal_combos(net.devices, list(plan_16))
+        burst = capacity_burst(net.devices)
+        later = [replace(tx, start_s=tx.start_s + 10.0) for tx in burst]
+        txs = (burst + later)[::-1]  # input order is not lock-on order
+        with observe(metrics=False, spans=False) as session:
+            Simulator(net.gateways, net.devices, link=link).run(txs)
+        events = session.recorder.to_dicts()
+        seen = set()
+        for k, ev in enumerate(events):
+            if ev["type"] not in ("decoder.grant", "decoder.reject"):
+                continue
+            j = k - 1
+            while events[j]["type"] == "decoder.reclaim":
+                j -= 1
+            lock_on = events[j]
+            assert lock_on["type"] == "gw.lock_on", (ev, lock_on)
+            for key in ("gw", "net", "node", "ctr", "att", "t"):
+                assert lock_on[key] == ev[key], (ev, lock_on)
+            seen.add((ev["gw"], ev["type"], events[k - 1]["type"]))
+        counts = session.event_counts()
+        assert counts["decoder.grant"] + counts["decoder.reject"] == counts[
+            "gw.lock_on"
+        ]
+        assert {gw for gw, _, _ in seen} == {g.gateway_id for g in net.gateways}
+        assert {kind for _, kind, _ in seen} == {
+            "decoder.grant",
+            "decoder.reject",
+        }
+        assert any(prev == "decoder.reclaim" for _, _, prev in seen)
+        # Receptions follow the whole timeline, in the same packet order.
+        packet = lambda ev: (ev["net"], ev["node"], ev["ctr"], ev["att"])
+        for gw in net.gateways:
+            mine = [ev for ev in events if ev.get("gw") == gw.gateway_id]
+            locked = [packet(ev) for ev in mine if ev["type"] == "gw.lock_on"]
+            fates = [ev for ev in mine if ev["type"] == "gw.reception"]
+            first_fate = mine.index(fates[0])
+            assert all(ev["type"] == "gw.reception" for ev in mine[first_fate:])
+            assert [
+                packet(ev) for ev in fates if packet(ev) in set(locked)
+            ] == locked
 
     def test_no_events_without_session(self, compact_network, link):
         sim = Simulator(

@@ -39,6 +39,14 @@ class TestPrimitives:
         assert cum == [(1.0, 1), (5.0, 2), (10.0, 3), (math.inf, 4)]
         assert h.mean == pytest.approx(110.5 / 4)
 
+    def test_histogram_edge_values_and_nan(self):
+        """A value on an edge counts in that edge's bucket (``le``); NaN
+        is below no edge, so only +Inf holds it."""
+        h = Histogram(buckets=(1, 5))
+        for v in (1.0, 5.0, -math.inf, math.inf, math.nan):
+            h.observe(v)
+        assert h.bucket_counts == [2, 1, 2]
+
     def test_histogram_rejects_empty_buckets(self):
         with pytest.raises(ValueError):
             Histogram(buckets=())
