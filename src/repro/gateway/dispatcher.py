@@ -14,8 +14,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..obs import runtime as _obs
 from ..obs.events import EventType
-from ..obs.perf import Phase, phase_timed
-from ..obs.profiling import span
 from .decoder import DecoderLease, DecoderPool
 from .detector import Detection
 
@@ -44,50 +42,13 @@ class FcfsDispatcher:
     def __init__(self, pool: DecoderPool) -> None:
         self.pool = pool
 
-    def admit(self, det: Detection) -> DispatchResult:
-        """Offer one detection to the pool at its lock-on instant.
-
-        Detections must arrive in lock-on order (the pool rejects an
-        earlier one).  A rejection snapshots the decoders' holders;
-        either way the trace gets the grant or the reject.
-        """
-        tx = det.tx
-        pool = self.pool
-        lease = pool.try_allocate(
-            det.lock_on_s, tx.end_s, tx.network_id, tx.node_id
-        )
-        blockers: Tuple[DecoderLease, ...] = ()
-        if lease is None:
-            blockers = tuple(pool.holders(det.lock_on_s))
-        rec = _obs.TRACE
-        if rec is not None:
-            if lease is not None:
-                rec.emit(
-                    EventType.DECODER_GRANT,
-                    t=det.lock_on_s,
-                    gw=pool.trace_gateway_id,
-                    dec=lease.decoder_index,
-                    until=lease.release_s,
-                    net=tx.network_id,
-                    node=tx.node_id,
-                    ctr=tx.counter,
-                    att=tx.attempt,
-                )
-            else:
-                rec.emit(
-                    EventType.DECODER_REJECT,
-                    t=det.lock_on_s,
-                    gw=pool.trace_gateway_id,
-                    net=tx.network_id,
-                    node=tx.node_id,
-                    ctr=tx.counter,
-                    att=tx.attempt,
-                    blockers=[b.holder_network_id for b in blockers],
-                )
-        return DispatchResult(detection=det, lease=lease, blockers=blockers)
-
     def dispatch(self, detections: Sequence[Detection]) -> List[DispatchResult]:
         """Dispatch a batch of detections.
+
+        A simulated gateway offers one detection per call, at its
+        lock-on instant (:meth:`~repro.gateway.gateway.Gateway.receive`),
+        so each grant or reject follows its own lock-on in the trace.
+        The caller times the ``gw.dispatch`` phase.
 
         Args:
             detections: Detections in any order; they are sorted by
@@ -102,7 +63,42 @@ class FcfsDispatcher:
             detections,
             key=lambda d: (d.lock_on_s, d.tx.network_id, d.tx.node_id),
         )
-        with span("gw.dispatch"), phase_timed(
-            Phase.DISPATCH, items=len(ordered)
-        ):
-            return [self.admit(det) for det in ordered]
+        results: List[DispatchResult] = []
+        for det in ordered:
+            tx = det.tx
+            blockers: Tuple[DecoderLease, ...] = ()
+            lease = self.pool.try_allocate(
+                det.lock_on_s, tx.end_s, tx.network_id, tx.node_id
+            )
+            if lease is None:
+                blockers = tuple(self.pool.holders(det.lock_on_s))
+            rec = _obs.TRACE
+            if rec is not None:
+                gw = self.pool.trace_gateway_id
+                if lease is not None:
+                    rec.emit(
+                        EventType.DECODER_GRANT,
+                        t=det.lock_on_s,
+                        gw=gw,
+                        dec=lease.decoder_index,
+                        until=lease.release_s,
+                        net=tx.network_id,
+                        node=tx.node_id,
+                        ctr=tx.counter,
+                        att=tx.attempt,
+                    )
+                else:
+                    rec.emit(
+                        EventType.DECODER_REJECT,
+                        t=det.lock_on_s,
+                        gw=gw,
+                        net=tx.network_id,
+                        node=tx.node_id,
+                        ctr=tx.counter,
+                        att=tx.attempt,
+                        blockers=[b.holder_network_id for b in blockers],
+                    )
+            results.append(
+                DispatchResult(detection=det, lease=lease, blockers=blockers)
+            )
+        return results

@@ -74,19 +74,6 @@ def _row_start_s(row: _Row) -> float:
     return row[1]
 
 
-def _arrival_order(txs: Sequence[Transmission]) -> List[int]:
-    """Indices of ``txs`` in ``(lock_on_s, network_id, node_id)`` order.
-
-    When no two lock-ons are equal the lock-on alone gives that order,
-    and float keys compare faster than tuples.
-    """
-    lock_ons = [tx.lock_on_s for tx in txs]
-    if len(set(lock_ons)) == len(lock_ons):
-        return sorted(range(len(txs)), key=lock_ons.__getitem__)
-    keys = [(tx.lock_on_s, tx.network_id, tx.node_id) for tx in txs]
-    return sorted(range(len(txs)), key=keys.__getitem__)
-
-
 class Hearing(NamedTuple):
     """An interference index as one gateway hears it.
 
@@ -340,7 +327,7 @@ class Gateway:
         Packets are served one at a time in ``(lock_on_s, network_id,
         node_id)`` order, the hardware dispatcher's arrival order.  For
         each, the timeline events due by its lock-on apply first, then
-        detection, FCFS admission (:meth:`FcfsDispatcher.admit`),
+        detection, FCFS admission (:meth:`FcfsDispatcher.dispatch`),
         decoding, the sync-word filter and the backhaul.  Reception
         events are emitted in the same order once the whole timeline
         has run, because a later reboot can still turn an in-flight
@@ -368,7 +355,7 @@ class Gateway:
         pool.resize(self.model.decoders)  # undo an earlier degradation
         if hearing is None:
             hearing = self._hearing(observations)
-        admit = FcfsDispatcher(pool).admit
+        dispatch = FcfsDispatcher(pool).dispatch
         gw_id = self.gateway_id
         noise_figure = self.noise_figure_db
         rec_trace = _obs.TRACE
@@ -393,7 +380,8 @@ class Gateway:
         offline_until = float("-inf")
         pending, n_events = 0, len(timeline)
         txs = [obs.transmission for obs in observations]
-        order = _arrival_order(txs)
+        keys = [(tx.lock_on_s, tx.network_id, tx.node_id) for tx in txs]
+        order = sorted(range(len(txs)), key=keys.__getitem__)
         records: List[Optional[GatewayReception]] = [None] * len(txs)
         # (end_s, index, record) of every decoded reception since the
         # last reboot: each entry is checked by at most one reboot.
@@ -491,7 +479,7 @@ class Gateway:
                 continue
 
             t0 = st_dispatch.begin() if st_dispatch is not None else None
-            admission = admit(det)
+            admission = dispatch((det,))[0]
             if admission.lease is None:
                 records[i] = GatewayReception(
                     gateway_id=gw_id,

@@ -92,9 +92,7 @@ class OnlineSimulator(Simulator):
             )
             for gw in self.gateways
         }
-        return self._run(
-            transmissions, online=True, timelines=timelines, fault_plan=fault_plan
-        )
+        return self._run(transmissions, timelines, fault_plan)
 
 
 def _timeline(

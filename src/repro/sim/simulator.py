@@ -174,16 +174,17 @@ class Simulator:
     def _run(
         self,
         transmissions: Sequence[Transmission],
-        online: bool = False,
         timelines: Optional[Mapping[int, Sequence[TimelineEvent]]] = None,
         fault_plan: Optional[FaultPlan] = None,
     ) -> SimulationResult:
         """One simulated run, shared by :meth:`run` and the online engine.
 
         Each gateway receives what it hears on the run's medium, under
-        its timeline in ``timelines`` (by gateway id; none by default)
-        and ``fault_plan``'s backhaul faults.
+        its timeline in ``timelines`` (by gateway id) and
+        ``fault_plan``'s backhaul faults.  Only an online run passes
+        ``timelines``.
         """
+        online = timelines is not None
         result = SimulationResult(
             transmissions=list(transmissions), gateways=self.gateways
         )

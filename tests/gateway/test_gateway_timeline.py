@@ -69,6 +69,21 @@ def test_event_at_a_lock_on_applies_before_that_packet(net, link):
     assert gw.reboots == 2
 
 
+def test_equal_lock_ons_are_served_in_network_then_node_order(net, link):
+    """The last free decoder goes to the lower (network, node) id when
+    two packets lock on at the same instant, whatever the input order."""
+    gw = net.gateways[0]
+    pair = [dev.transmit(10.0) for dev in net.devices[:2]]
+    assert pair[0].lock_on_s == pair[1].lock_on_s
+    first = min(pair, key=lambda tx: (tx.network_id, tx.node_id))
+    one_decoder = [TimelineEvent(time_s=0.0, decoders=1)]
+    for txs in (pair, pair[::-1]):
+        records = gw.receive(_observe(net, link, txs), timeline=one_decoder)
+        outcome = {r.transmission.node_id: r.outcome for r in records}
+        assert outcome[first.node_id] is Outcome.RECEIVED
+        assert list(outcome.values()).count(Outcome.NO_DECODER) == 1
+
+
 def test_events_after_the_last_lock_on_are_not_applied(net, link, grid_16):
     gw = net.gateways[0]
     txs = [dev.transmit(10.0) for dev in net.devices]

@@ -168,3 +168,23 @@ class TestOnlineInstrumentation:
         )
         assert offline_events == _outcomes(result).get("gateway_offline", 0)
         assert offline_events > 0
+
+    def test_run_start_says_which_simulator_ran(self, compact_network, link):
+        """``sim.run_start`` and the run span name the entry point, even
+        for an online run with nothing on its timeline."""
+        sim = OnlineSimulator(
+            compact_network.gateways, compact_network.devices, link=link
+        )
+        txs = capacity_burst(compact_network.devices)
+        with observe(metrics=False) as session:
+            sim.run(txs)
+            sim.run_online(txs)
+        starts = [
+            e.fields["online"]
+            for e in session.recorder.events
+            if e.etype == EventType.SIM_RUN_START
+        ]
+        assert starts == [False, True]
+        summary = session.spans.flame_summary()
+        assert summary["sim.run"]["count"] == 1
+        assert summary["sim.run_online"]["count"] == 1
