@@ -58,7 +58,7 @@ def test_campaign_overhead_vs_direct(benchmark):
     from repro.obs import observe
 
     t0 = time.perf_counter()
-    with observe(trace=True, metrics=False, spans=False) as session:
+    with observe(trace=True, metrics=False) as session:
         session.recorder.max_events = 0
         direct = [execute_run(run) for run in runs]
     direct_s = time.perf_counter() - t0

@@ -31,7 +31,7 @@ _EVENT_MIX = (
 
 def _baseline_run_s():
     t0 = time.perf_counter()
-    with observe(trace=True, metrics=False, spans=False) as session:
+    with observe(trace=True, metrics=False) as session:
         session.recorder.max_events = 0
         run_chaos(seed=0)
     return time.perf_counter() - t0, sum(session.recorder.counts.values())

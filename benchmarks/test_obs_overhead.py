@@ -34,7 +34,7 @@ def test_disabled_hooks_under_five_percent():
 
     # How many hook sites fire during the workload (count-only session:
     # events are tallied, not stored).
-    with observe(trace=True, metrics=False, spans=False) as session:
+    with observe(trace=True, metrics=False) as session:
         session.recorder.max_events = 0
         run_chaos(seed=0)
     events = sum(session.recorder.counts.values())
@@ -53,7 +53,7 @@ def test_disabled_hooks_under_five_percent():
 
 def test_enabled_count_only_stays_reasonable():
     disabled_s = _run_disabled()
-    with observe(trace=True, metrics=False, spans=False) as session:
+    with observe(trace=True, metrics=False) as session:
         session.recorder.max_events = 0
         t0 = time.perf_counter()
         run_chaos(seed=0)

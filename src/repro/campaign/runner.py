@@ -117,7 +117,7 @@ def _run_traced(
         "seed": run.seed,
     }
     with observe(
-        trace=True, metrics=False, spans=False, flight=flight, manifest=manifest
+        trace=True, metrics=False, flight=flight, manifest=manifest
     ) as session:
         assert session.recorder is not None
         session.recorder.set_context(root.child(run.run_id))
@@ -159,11 +159,7 @@ def execute_one(
     traceable = (
         trace_root is not None
         and out_dir is not None
-        and _obs_runtime.TRACE is None
-        and _obs_runtime.METRICS is None
-        and _obs_runtime.SPANS is None
-        and _obs_runtime.HEALTH is None
-        and _obs_runtime.FLIGHT is None
+        and not _obs_runtime.session_active()
     )
     with maybe_attach(probe) as attached:
         if traceable:

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..obs import runtime as _obs
 from ..obs.events import EventType
-from ..obs.profiling import span
 
 logger = logging.getLogger(__name__)
 
@@ -203,42 +202,39 @@ def evolve(
                 "GA fitness evaluations",
             ).inc(evals)
 
-    with span("ga.evolve"):
-        t0 = time.perf_counter()
-        scored = [(fitness(g), g) for g in population]
-        scored.sort(key=lambda t: t[0], reverse=True)
-        telemetry(0, len(population), time.perf_counter() - t0, scored)
-        best_fit, best_genome = scored[0]
-        history = [best_fit]
-        stall = 0
-        gens_run = 0
+    t0 = time.perf_counter()
+    scored = [(fitness(g), g) for g in population]
+    scored.sort(key=lambda t: t[0], reverse=True)
+    telemetry(0, len(population), time.perf_counter() - t0, scored)
+    best_fit, best_genome = scored[0]
+    history = [best_fit]
+    stall = 0
+    gens_run = 0
 
-        for _ in range(config.generations):
-            gens_run += 1
-            t0 = time.perf_counter()
-            next_gen: List[Genome] = [g for _, g in scored[: config.elitism]]
-            while len(next_gen) < config.population:
-                parent_a = _tournament(scored, config.tournament_k, rng)
-                if rng.random() < config.crossover_rate:
-                    parent_b = _tournament(scored, config.tournament_k, rng)
-                    child = _crossover(parent_a, parent_b, rng)
-                else:
-                    child = parent_a  # _mutate copies
-                child = _mutate(child, bounds, config.mutation_rate, rng)
-                next_gen.append(prepare(child))
-            scored = [(fitness(g), g) for g in next_gen]
-            scored.sort(key=lambda t: t[0], reverse=True)
-            if scored[0][0] > best_fit:
-                best_fit, best_genome = scored[0]
-                stall = 0
+    for _ in range(config.generations):
+        gens_run += 1
+        t0 = time.perf_counter()
+        next_gen: List[Genome] = [g for _, g in scored[: config.elitism]]
+        while len(next_gen) < config.population:
+            parent_a = _tournament(scored, config.tournament_k, rng)
+            if rng.random() < config.crossover_rate:
+                parent_b = _tournament(scored, config.tournament_k, rng)
+                child = _crossover(parent_a, parent_b, rng)
             else:
-                stall += 1
-            history.append(best_fit)
-            telemetry(
-                gens_run, len(next_gen), time.perf_counter() - t0, scored
-            )
-            if config.patience and stall >= config.patience:
-                break
+                child = parent_a  # _mutate copies
+            child = _mutate(child, bounds, config.mutation_rate, rng)
+            next_gen.append(prepare(child))
+        scored = [(fitness(g), g) for g in next_gen]
+        scored.sort(key=lambda t: t[0], reverse=True)
+        if scored[0][0] > best_fit:
+            best_fit, best_genome = scored[0]
+            stall = 0
+        else:
+            stall += 1
+        history.append(best_fit)
+        telemetry(gens_run, len(next_gen), time.perf_counter() - t0, scored)
+        if config.patience and stall >= config.patience:
+            break
 
     rec = _obs.TRACE
     if rec is not None:

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..gateway.gateway import Gateway
 from ..node.device import EndDevice
+from ..obs.perf import Phase, phase_timed
 from ..phy.channels import Channel
 from ..phy.link import DEFAULT_TIERS, DistanceTier
 from ..phy.lora import DR_TO_SF, SNR_THRESHOLD_DB
@@ -319,70 +320,71 @@ class IntraNetworkPlanner:
     def plan(self) -> PlanOutcome:
         """Solve the CP problem (timed, for the Figure 17 latency study)."""
         t0 = time.perf_counter()
-        cp = build_cp_input(
-            self.network,
-            self.channels,
-            self.link,
-            traffic=self.traffic,
-            tiers=self.config.tiers,
-            snr_margin_db=self.config.snr_margin_db,
-        )
-        fixed = None
-        if not self.config.optimize_nodes:
-            fixed = self._current_node_assignment(cp)
-        evaluator = CPEvaluator(
-            cp,
-            fixed_nodes=fixed,
-            cell_overload_weight=self.config.cell_overload_weight,
-            redundancy_weight=self.config.redundancy_weight,
-            unserved_cost=self.config.unserved_cost,
-        )
+        with phase_timed(Phase.PLAN, items=len(self.network.devices)):
+            cp = build_cp_input(
+                self.network,
+                self.channels,
+                self.link,
+                traffic=self.traffic,
+                tiers=self.config.tiers,
+                snr_margin_db=self.config.snr_margin_db,
+            )
+            fixed = None
+            if not self.config.optimize_nodes:
+                fixed = self._current_node_assignment(cp)
+            evaluator = CPEvaluator(
+                cp,
+                fixed_nodes=fixed,
+                cell_overload_weight=self.config.cell_overload_weight,
+                redundancy_weight=self.config.redundancy_weight,
+                unserved_cost=self.config.unserved_cost,
+            )
 
-        seeds: List[List[int]] = []
-        for windows in self._seed_windows(cp):
-            seed_genome: List[int] = []
-            for start, count in windows:
-                seed_genome.extend((start, count))
+            seeds: List[List[int]] = []
+            for windows in self._seed_windows(cp):
+                seed_genome: List[int] = []
+                for start, count in windows:
+                    seed_genome.extend((start, count))
+                if fixed is None:
+                    node_ch, node_tier = _greedy_nodes(cp, windows)
+                    for ch, tier in zip(node_ch, node_tier):
+                        seed_genome.extend((ch, tier))
+                seeds.append(seed_genome)
+
+            bounds = evaluator.bounds()
+            if not self.config.optimize_channel_count:
+                # Pin every count gene at its maximum (8 channels on COTS HW).
+                bounds = list(bounds)
+                for j in range(len(cp.gateways)):
+                    hi = bounds[2 * j + 1][1]
+                    bounds[2 * j + 1] = (hi, hi)
+
+            ga_result = evolve(
+                bounds,
+                evaluator.fitness,
+                config=self.config.ga,
+                seeds=seeds,
+                repair=_make_repair(evaluator),
+            )
+            best_genome = ga_result.best_genome
             if fixed is None:
-                node_ch, node_tier = _greedy_nodes(cp, windows)
+                # Refinement: the GA evolves windows and node genes jointly,
+                # so the final windows may have drifted away from the node
+                # assignment.  Re-run the greedy node construction against
+                # the winning windows and keep the better of the two.
+                starts, counts, _, _ = evaluator.split(best_genome)
+                final_windows = [
+                    (int(s), int(c)) for s, c in zip(starts, counts)
+                ]
+                node_ch, node_tier = _greedy_nodes(cp, final_windows)
+                refined: List[int] = []
+                for start, count in final_windows:
+                    refined.extend((start, count))
                 for ch, tier in zip(node_ch, node_tier):
-                    seed_genome.extend((ch, tier))
-            seeds.append(seed_genome)
-
-        bounds = evaluator.bounds()
-        if not self.config.optimize_channel_count:
-            # Pin every count gene at its maximum (8 channels on COTS HW).
-            bounds = list(bounds)
-            for j in range(len(cp.gateways)):
-                hi = bounds[2 * j + 1][1]
-                bounds[2 * j + 1] = (hi, hi)
-
-        ga_result = evolve(
-            bounds,
-            evaluator.fitness,
-            config=self.config.ga,
-            seeds=seeds,
-            repair=_make_repair(evaluator),
-        )
-        best_genome = ga_result.best_genome
-        if fixed is None:
-            # Refinement: the GA evolves windows and node genes jointly,
-            # so the final windows may have drifted away from the node
-            # assignment.  Re-run the greedy node construction against
-            # the winning windows and keep the better of the two.
-            starts, counts, _, _ = evaluator.split(best_genome)
-            final_windows = [
-                (int(s), int(c)) for s, c in zip(starts, counts)
-            ]
-            node_ch, node_tier = _greedy_nodes(cp, final_windows)
-            refined: List[int] = []
-            for start, count in final_windows:
-                refined.extend((start, count))
-            for ch, tier in zip(node_ch, node_tier):
-                refined.extend((ch, tier))
-            if evaluator.fitness(refined) > ga_result.best_fitness:
-                best_genome = refined
-        solution = evaluator.decode(best_genome)
+                    refined.extend((ch, tier))
+                if evaluator.fitness(refined) > ga_result.best_fitness:
+                    best_genome = refined
+            solution = evaluator.decode(best_genome)
         elapsed = time.perf_counter() - t0
         return PlanOutcome(
             solution=solution,

@@ -4,7 +4,8 @@ A complete upgrade runs: (optional) operator-to-Master spectrum-sharing
 exchange, CP solving (measured live on this machine), configuration
 distribution over the backhaul (modelled), and gateway reboots
 (modelled, executed in parallel across gateways so the term is the max,
-not the sum).
+not the sum).  Each step is a performance phase (``upgrade.sync``,
+``core.plan``, ``upgrade.distribute``, ``upgrade.reboot``).
 
 Degraded mode: when the Master is unreachable (retry budget exhausted)
 and an :class:`~repro.faults.cache.AssignmentCache` holds the
@@ -24,7 +25,7 @@ from ..faults.cache import AssignmentCache
 from ..faults.retry import MasterUnavailableError
 from ..obs import runtime as _obs
 from ..obs.events import EventType
-from ..obs.profiling import span
+from ..obs.perf import Phase, phase_timed
 from ..phy.channels import Channel
 from ..sim.scenario import Network
 from .agents import GatewayAgent, distribution_latency_s
@@ -92,60 +93,58 @@ def run_capacity_upgrade(
     """
     latency = LatencyBreakdown()
 
-    with span("upgrade"):
-        if master_client is not None:
-            if not operator:
-                raise ValueError("operator name required for spectrum sharing")
-            t0 = time.perf_counter()
-            with span("upgrade.master_sync"):
-                try:
-                    assignment = master_client.register(operator)
-                except (MasterUnavailableError, ProtocolError, OSError):
-                    cached = (
-                        assignment_cache.get(operator)
-                        if assignment_cache is not None
-                        else None
-                    )
-                    if cached is None:
-                        raise
-                    assignment = cached
-                    latency.degraded = True
-                    logger.warning(
-                        "master unreachable; upgrading %r on the cached "
-                        "assignment",
-                        operator,
-                    )
-            latency.master_comm_s = time.perf_counter() - t0
-            if assignment_cache is not None and not latency.degraded:
-                assignment_cache.store(assignment)
-            planner.channels = assignment.channels()
-
-        with span("upgrade.cp_solve"):
-            outcome = planner.plan()
-        latency.cp_solving_s = outcome.solve_time_s
-
-        network: Network = planner.network
-        with span("upgrade.distribute"):
-            configs: List[List[Channel]] = [
-                outcome.solution.gateway_channels(outcome.cp_input, j)
-                for j in range(len(network.gateways))
-            ]
-            latency.distribution_s = distribution_latency_s(configs)
-
-        with span("upgrade.reboot"):
-            reboot_times = []
-            for gw, channels in zip(network.gateways, configs):
-                agent = GatewayAgent(gateway=gw, seed=agent_seed)
-                reboot_times.append(agent.apply_config(channels))
-            latency.reboot_s = max(reboot_times) if reboot_times else 0.0
-
-        if planner.config.optimize_nodes:
-            for i, dev in enumerate(network.devices):
-                ch = outcome.cp_input.channels[outcome.solution.node_channels[i]]
-                tier = outcome.cp_input.tiers[outcome.solution.node_tiers[i]]
-                dev.apply_config(
-                    channel=ch, dr=tier.dr, tx_power_dbm=tier.tx_power_dbm
+    if master_client is not None:
+        if not operator:
+            raise ValueError("operator name required for spectrum sharing")
+        t0 = time.perf_counter()
+        with phase_timed(Phase.SYNC):
+            try:
+                assignment = master_client.register(operator)
+            except (MasterUnavailableError, ProtocolError, OSError):
+                cached = (
+                    assignment_cache.get(operator)
+                    if assignment_cache is not None
+                    else None
                 )
+                if cached is None:
+                    raise
+                assignment = cached
+                latency.degraded = True
+                logger.warning(
+                    "master unreachable; upgrading %r on the cached "
+                    "assignment",
+                    operator,
+                )
+        latency.master_comm_s = time.perf_counter() - t0
+        if assignment_cache is not None and not latency.degraded:
+            assignment_cache.store(assignment)
+        planner.channels = assignment.channels()
+
+    outcome = planner.plan()
+    latency.cp_solving_s = outcome.solve_time_s
+
+    network: Network = planner.network
+    with phase_timed(Phase.DISTRIBUTE, items=len(network.gateways)):
+        configs: List[List[Channel]] = [
+            outcome.solution.gateway_channels(outcome.cp_input, j)
+            for j in range(len(network.gateways))
+        ]
+        latency.distribution_s = distribution_latency_s(configs)
+
+    with phase_timed(Phase.REBOOT, items=len(network.gateways)):
+        reboot_times = []
+        for gw, channels in zip(network.gateways, configs):
+            agent = GatewayAgent(gateway=gw, seed=agent_seed)
+            reboot_times.append(agent.apply_config(channels))
+        latency.reboot_s = max(reboot_times) if reboot_times else 0.0
+
+    if planner.config.optimize_nodes:
+        for i, dev in enumerate(network.devices):
+            ch = outcome.cp_input.channels[outcome.solution.node_channels[i]]
+            tier = outcome.cp_input.tiers[outcome.solution.node_tiers[i]]
+            dev.apply_config(
+                channel=ch, dr=tier.dr, tx_power_dbm=tier.tx_power_dbm
+            )
 
     rec = _obs.TRACE
     if rec is not None:

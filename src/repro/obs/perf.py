@@ -11,7 +11,9 @@ module is that measurement rig:
   counters** and **sampled wall timings** from the instrumented hot
   path: the :mod:`repro.sim` engines, the gateway
   detect/dispatch/decode pipeline, the phy link-budget and
-  interference evaluation, and the scenario compiler's build stages.
+  interference evaluation, the retransmission rounds, the channel
+  planner, the capacity upgrade's steps, and the scenario compiler's
+  build stages.
 * Throughput: engine events per wall second and simulated seconds per
   wall second, plus an optional ``tracemalloc`` memory high-water.
 * Hotspots: top-N functions by own time via stdlib :mod:`cProfile`
@@ -63,9 +65,10 @@ PERF_SCHEMA_VERSION = 1
 class Phase:
     """The hot-path phase taxonomy (DESIGN.md §13).
 
-    One phase per stage of the per-packet pipeline plus the scenario
-    compiler's coarse build stages; phases never overlap, so their
-    estimated wall times sum to an attribution of the run.
+    One phase per stage of the per-packet pipeline, the scenario
+    compiler's coarse build stages, the capacity upgrade's steps and
+    the retransmission rounds; phases never overlap, so their estimated
+    wall times sum to an attribution of the run.
     """
 
     BUILD = "compile.build"
@@ -80,6 +83,11 @@ class Phase:
     TIMELINE = "sim.timeline"
     COLLECT = "sim.collect"
     EMIT = "obs.emit"
+    RETRANSMIT = "sim.retransmit"
+    PLAN = "core.plan"
+    SYNC = "upgrade.sync"
+    DISTRIBUTE = "upgrade.distribute"
+    REBOOT = "upgrade.reboot"
 
 
 # phase -> one-line description, in canonical table order.
@@ -87,6 +95,10 @@ PHASES: Dict[str, str] = {
     Phase.BUILD: "topology + network construction",
     Phase.ASSIGN: "channel/DR assignment",
     Phase.TRAFFIC: "traffic schedule generation",
+    Phase.SYNC: "Master spectrum-sharing exchange",
+    Phase.PLAN: "CP input + GA solve + refinement (items = devices)",
+    Phase.DISTRIBUTE: "gateway configuration distribution",
+    Phase.REBOOT: "gateway reconfiguration and reboot",
     Phase.OBSERVE: "phy link-budget -> observation sets",
     Phase.DETECT: "channel match + preamble detection",
     Phase.DISPATCH: "FCFS decoder allocation",
@@ -96,6 +108,8 @@ PHASES: Dict[str, str] = {
     Phase.TIMELINE: "online timeline events + outage windows",
     Phase.COLLECT: "reception record collection",
     Phase.EMIT: "final outcome emission (trace/metrics)",
+    Phase.RETRANSMIT: "retransmission round scheduling (items = fresh "
+    "retransmissions)",
     Phase.AGGREGATE: "result aggregation (PRR, breakdowns)",
 }
 
@@ -162,9 +176,10 @@ class PerfProbe:
 
     Single-threaded by design: campaign workers each run their own
     probe in their own process, and the profiling CLI drives one
-    simulation at a time.  Attach with :meth:`attach` (or via
-    ``observe(perf=...)``); hot-path hooks read ``runtime.PERF`` and
-    are a single attribute load plus a ``None`` check when disabled.
+    simulation at a time.  Attach with :meth:`attach` (or
+    :func:`maybe_attach`); :func:`repro.obs.observe` does not manage
+    this slot.  Hot-path hooks read ``runtime.PERF`` and are a single
+    attribute load plus a ``None`` check when disabled.
     """
 
     def __init__(
@@ -246,7 +261,6 @@ class PerfProbe:
         self,
         total_wall_s: Optional[float] = None,
         hotspots: Optional[List[Dict[str, Any]]] = None,
-        flame: Optional[Dict[str, Dict[str, float]]] = None,
     ) -> Dict[str, Any]:
         """The perf report: ``deterministic`` + ``wall`` sections.
 
@@ -301,8 +315,6 @@ class PerfProbe:
         }
         if hotspots is not None:
             report["wall"]["hotspots"] = hotspots
-        if flame is not None:
-            report["wall"]["flame"] = flame
         return report
 
     def to_prometheus(self) -> str:
@@ -360,9 +372,10 @@ def maybe_attach(probe: PerfProbe) -> Iterator[Optional[PerfProbe]]:
 class phase_timed:
     """Times one phase block against the active probe (no-op when off).
 
-    The batch-pipeline analogue of :class:`~repro.obs.profiling.span`:
-    used where a whole phase runs as one block (per-gateway batches,
-    compiler stages).  ``items`` scales the per-item cost estimate.
+    Used where a whole phase runs as one block (per-gateway batches,
+    compiler stages, planner solves, upgrade steps).  ``items`` scales
+    the per-item cost estimate; a block that learns its item count
+    late may set it on the yielded object before it exits.
     """
 
     __slots__ = ("phase", "items", "_stat", "_t0")
@@ -448,14 +461,12 @@ def run_profiled(
     cprofile: bool = True,
     memory: bool = False,
     top_n: int = 15,
-    flame: Optional[Callable[[], Dict[str, Dict[str, float]]]] = None,
 ) -> Tuple[Any, Dict[str, Any]]:
     """Execute ``fn`` under the full observatory; returns (result, report).
 
     Orchestrates the probe, optional :mod:`cProfile` hotspot capture and
     optional ``tracemalloc`` memory tracking, then assembles the perf
-    report.  ``flame`` is an optional callable returning a flame summary
-    (e.g. ``session.spans.flame_summary``) embedded in the wall section.
+    report.
     """
     probe = PerfProbe(sample_every=sample_every, track_memory=memory)
     hotspots: Optional[List[Dict[str, Any]]] = None
@@ -466,11 +477,7 @@ def run_profiled(
         else:
             result = fn()
     total_wall_s = perf_counter() - t0
-    report = probe.report(
-        total_wall_s=total_wall_s,
-        hotspots=hotspots,
-        flame=flame() if flame is not None else None,
-    )
+    report = probe.report(total_wall_s=total_wall_s, hotspots=hotspots)
     return result, report
 
 
@@ -490,23 +497,25 @@ def render_phase_table(report: Dict[str, Any], width: int = 24) -> str:
     wall = report["wall"]["phases"]
     if not det:
         return "(no phases recorded)"
+    names = _ordered_phases(report)
+    col = max(len(name) for name in [*names, "attributed"])
     head = (
-        f"{'phase':<16} {'calls':>9} {'items':>10} {'est_ms':>9} "
+        f"{'phase':<{col}} {'calls':>9} {'items':>10} {'est_ms':>9} "
         f"{'us/item':>8} {'share':>6}  "
     )
     lines = [head, "-" * (len(head) + width)]
-    for name in _ordered_phases(report):
+    for name in names:
         d, w = det[name], wall[name]
         bar = "#" * int(round(w["share"] * width))
         lines.append(
-            f"{name:<16} {d['calls']:>9d} {d['items']:>10d} "
+            f"{name:<{col}} {d['calls']:>9d} {d['items']:>10d} "
             f"{w['est_s'] * 1e3:>9.2f} {w['per_item_us']:>8.2f} "
             f"{w['share']:>6.1%}  {bar}"
         )
     total = report["wall"]
     lines.append("-" * (len(head) + width))
     lines.append(
-        f"{'attributed':<16} {'':>9} {'':>10} "
+        f"{'attributed':<{col}} {'':>9} {'':>10} "
         f"{total['attributed_s'] * 1e3:>9.2f} {'':>8} "
         f"{total['attributed_share']:>6.1%}"
     )

@@ -1,11 +1,10 @@
 """Process-local observability state shared by every instrumented module.
 
 Instrumented hot paths (decoder pool, dispatcher, engine) are written
-against six module-level slots that default to ``None``:
+against five module-level slots that default to ``None``:
 
 * :data:`TRACE` — the active :class:`~repro.obs.recorder.TraceRecorder`
 * :data:`METRICS` — the active :class:`~repro.obs.metrics.MetricsRegistry`
-* :data:`SPANS` — the active :class:`~repro.obs.profiling.SpanAggregator`
 * :data:`HEALTH` — the active :class:`~repro.obs.health.HealthMonitor`
 * :data:`PERF` — the active :class:`~repro.obs.perf.PerfProbe`
 * :data:`FLIGHT` — the active :class:`~repro.obs.flight.FlightRecorder`
@@ -26,24 +25,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .health import HealthMonitor
     from .metrics import MetricsRegistry
     from .perf import PerfProbe
-    from .profiling import SpanAggregator
     from .recorder import TraceRecorder
 
 __all__ = [
     "TRACE",
     "METRICS",
-    "SPANS",
     "HEALTH",
     "PERF",
     "FLIGHT",
     "activate",
     "deactivate",
+    "session_active",
 ]
 
 # The active observability session components (None = disabled).
 TRACE: Optional["TraceRecorder"] = None
 METRICS: Optional["MetricsRegistry"] = None
-SPANS: Optional["SpanAggregator"] = None
 HEALTH: Optional["HealthMonitor"] = None
 # The performance probe has its own lifecycle (PerfProbe.attach): a
 # perf measurement may wrap an observe() session or run without one.
@@ -56,7 +53,6 @@ FLIGHT: Optional["FlightRecorder"] = None
 def activate(
     trace: Optional["TraceRecorder"] = None,
     metrics: Optional["MetricsRegistry"] = None,
-    spans: Optional["SpanAggregator"] = None,
     health: Optional["HealthMonitor"] = None,
     flight: Optional["FlightRecorder"] = None,
 ) -> None:
@@ -65,14 +61,26 @@ def activate(
     Called by :func:`repro.obs.observe`; tests may call it directly.
     Passing ``None`` for a component leaves that dimension disabled.
     """
-    global TRACE, METRICS, SPANS, HEALTH, FLIGHT
+    global TRACE, METRICS, HEALTH, FLIGHT
     TRACE = trace
     METRICS = metrics
-    SPANS = spans
     HEALTH = health
     FLIGHT = flight
 
 
 def deactivate() -> None:
     """Disable all observability (restores the zero-overhead default)."""
-    activate(None, None, None, None, None)
+    activate(None, None, None, None)
+
+
+def session_active() -> bool:
+    """Whether any slot :func:`activate` manages is installed.
+
+    ``PERF`` does not count: a probe may wrap a session or run alone.
+    """
+    return (
+        TRACE is not None
+        or METRICS is not None
+        or HEALTH is not None
+        or FLIGHT is not None
+    )

@@ -25,7 +25,7 @@ from ..faults.plan import FaultPlan, _stable_stream_seed
 from ..faults.retry import RetransmitPolicy
 from ..obs import runtime as _obs
 from ..obs.events import EventType
-from ..obs.profiling import span
+from ..obs.perf import Phase, phase_timed
 from ..types import Transmission
 from .engine import OnlineSimulator, Reconfiguration
 from .simulator import SimulationResult
@@ -133,12 +133,11 @@ def run_with_retransmissions(
     # Frames that already exhausted their budget (or ran off-window).
     abandoned: set = set()
     rounds = 0
-    with span("sim.retransmissions"):
-        result = sim.run_online(
-            all_txs, reconfigurations, fault_plan=fault_plan
-        )
-        while rounds < policy.max_retries:
-            rounds += 1
+    result = sim.run_online(all_txs, reconfigurations, fault_plan=fault_plan)
+    while rounds < policy.max_retries:
+        rounds += 1
+        # Only the scheduling is timed: run_online times its own phases.
+        with phase_timed(Phase.RETRANSMIT) as timed:
             # Latest attempt of each undelivered confirmed frame.
             latest: Dict[FrameKey, Transmission] = {}
             delivered_keys = set()
@@ -169,27 +168,28 @@ def run_with_retransmissions(
                     abandoned.add(key)
                     continue
                 fresh.append(device.retransmit(tx, start_s))
-            rec = _obs.TRACE
-            if rec is not None:
-                rec.emit(
-                    EventType.RETX_ROUND,
-                    round=rounds,
-                    fresh=len(fresh),
-                    abandoned=len(abandoned),
-                )
-            logger.debug(
-                "retransmission round %d: %d fresh, %d abandoned",
-                rounds,
-                len(fresh),
-                len(abandoned),
+            timed.items = len(fresh)
+        rec = _obs.TRACE
+        if rec is not None:
+            rec.emit(
+                EventType.RETX_ROUND,
+                round=rounds,
+                fresh=len(fresh),
+                abandoned=len(abandoned),
             )
-            if not fresh:
-                break
-            retransmissions.extend(fresh)
-            all_txs = sorted(all_txs + fresh, key=lambda t: t.start_s)
-            result = sim.run_online(
-                all_txs, reconfigurations, fault_plan=fault_plan
-            )
+        logger.debug(
+            "retransmission round %d: %d fresh, %d abandoned",
+            rounds,
+            len(fresh),
+            len(abandoned),
+        )
+        if not fresh:
+            break
+        retransmissions.extend(fresh)
+        all_txs = sorted(all_txs + fresh, key=lambda t: t.start_s)
+        result = sim.run_online(
+            all_txs, reconfigurations, fault_plan=fault_plan
+        )
     res = ResilientResult(
         result=result, rounds=rounds, retransmissions=retransmissions
     )

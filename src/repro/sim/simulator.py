@@ -18,7 +18,6 @@ from ..node.device import EndDevice
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, phase_timed
-from ..obs.profiling import span
 from ..types import Observation, Transmission
 from .medium import Medium
 from .topology import LinkBudget
@@ -205,20 +204,16 @@ class Simulator:
                 min((t.start_s for t in result.transmissions), default=0.0),
                 max((t.end_s for t in result.transmissions), default=0.0),
             )
-        with span("sim.run_online" if online else "sim.run"):
-            slots = record_slots(result)
-            medium = self.medium(result.transmissions)
-            for gw in self.gateways:
-                with span("gateway"):
-                    with phase_timed(Phase.OBSERVE, items=len(transmissions)):
-                        obs = self.observations_at(gw, transmissions, medium)
-                    timeline = timelines.get(gw.gateway_id, ()) if timelines else ()
-                    records = gw.receive(
-                        obs, medium.hearing(gw), timeline, fault_plan
-                    )
-                    with phase_timed(Phase.COLLECT, items=len(records)):
-                        for record in records:
-                            slots[id(record.transmission)].append(record)
+        slots = record_slots(result)
+        medium = self.medium(result.transmissions)
+        for gw in self.gateways:
+            with phase_timed(Phase.OBSERVE, items=len(transmissions)):
+                obs = self.observations_at(gw, transmissions, medium)
+            timeline = timelines.get(gw.gateway_id, ()) if timelines else ()
+            records = gw.receive(obs, medium.hearing(gw), timeline, fault_plan)
+            with phase_timed(Phase.COLLECT, items=len(records)):
+                for record in records:
+                    slots[id(record.transmission)].append(record)
         if rec is not None:
             rec.emit(EventType.SIM_RUN_END, run=run_index)
         health = _obs.HEALTH

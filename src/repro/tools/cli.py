@@ -47,8 +47,8 @@ parallel with crash-tolerant resume (:mod:`repro.campaign`); ``campaign
 status --live`` adds per-worker heartbeats and a fleet ETA.
 ``profile`` executes one run of a scenario spec under the performance
 observatory (:mod:`repro.obs.perf`) and renders throughput, the phase
-table, a span flame and cProfile hotspots — ``--json`` for the raw
-report.  ``watch`` renders a live health dashboard from an exporter
+table and cProfile hotspots — ``--json`` for the raw report.
+``watch`` renders a live health dashboard from an exporter
 URL, a growing trace file, or a campaign directory's fleet telemetry.  ``drill`` runs the
 Master failover drill (:func:`repro.faults.drill.run_drill`): crash
 the Master mid-campaign, recover from snapshot + journal, exit
@@ -226,7 +226,6 @@ def _run_observed(args, fast: bool):
     with observe(
         trace=bool(args.trace_path),
         metrics=bool(args.metrics_path),
-        spans=False,
         health=bool(args.health_path),
         manifest=manifest,
     ) as session:
@@ -480,14 +479,12 @@ def _campaign_command(args) -> int:
 
 
 def _profile_command(args) -> int:
-    from ..obs import observe
     from ..obs.perf import (
         render_hotspots,
         render_phase_table,
         render_throughput,
         run_profiled,
     )
-    from ..obs.profiling import render_flame
     from ..scenarios import SpecError, YamlError, execute_run, load_spec
 
     try:
@@ -510,19 +507,13 @@ def _profile_command(args) -> int:
         # attributes almost nothing (cold attribution can drop below
         # 15% on small scenarios; warmed, it sits above 90%).
         execute_run(run)
-    with observe(
-        trace=False, metrics=False, spans=not args.no_flame, health=False
-    ) as session:
-        result, report = run_profiled(
-            lambda: execute_run(run),
-            sample_every=args.sample_every,
-            cprofile=not args.no_cprofile,
-            memory=args.memory,
-            top_n=args.top,
-            flame=(
-                session.spans.flame_summary if session.spans is not None else None
-            ),
-        )
+    result, report = run_profiled(
+        lambda: execute_run(run),
+        sample_every=args.sample_every,
+        cprofile=not args.no_cprofile,
+        memory=args.memory,
+        top_n=args.top,
+    )
     payload = {
         "spec": spec.name,
         "spec_path": args.spec,
@@ -547,11 +538,6 @@ def _profile_command(args) -> int:
     print(render_throughput(report))
     print()
     print(render_phase_table(report))
-    flame = report["wall"].get("flame")
-    if flame:
-        print()
-        print("spans (self-time ordered):")
-        print(render_flame(flame))
     if not args.no_cprofile:
         print()
         print(render_hotspots(report))
@@ -606,7 +592,6 @@ def _drill_command(args) -> int:
     with observe(
         trace=True,
         metrics=bool(args.metrics_path),
-        spans=False,
         health=False,
         manifest=manifest,
     ) as session:
@@ -1005,11 +990,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-cprofile",
         action="store_true",
         help="skip the cProfile hotspot pass (lower overhead)",
-    )
-    profile_p.add_argument(
-        "--no-flame",
-        action="store_true",
-        help="skip span aggregation (no flame view)",
     )
     profile_p.add_argument(
         "--no-warmup",

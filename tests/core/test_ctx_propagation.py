@@ -26,7 +26,7 @@ OUTAGE_PLAN = FaultPlan(
 
 
 def _session():
-    return observe(trace=True, metrics=False, spans=False)
+    return observe(trace=True, metrics=False)
 
 
 class TestServerSideCtx:

@@ -252,7 +252,7 @@ class TestTelemetry:
     def test_ga_events_emitted_when_traced(self):
         from repro.obs import observe
 
-        with observe(metrics=False, spans=False) as session:
+        with observe(metrics=False) as session:
             result = self._run(generations=2)
         counts = session.event_counts()
         assert counts["ga.generation"] == result.generations_run + 1

@@ -13,6 +13,7 @@ from repro.core.master import MasterNode
 from repro.core.master_client import MasterClient
 from repro.core.master_server import MasterServer
 from repro.core.upgrade import LatencyBreakdown, run_capacity_upgrade
+from repro.obs.perf import PerfProbe, Phase
 from repro.sim.scenario import assign_orthogonal_combos, build_network
 
 FAST = GAConfig(population=16, generations=15, seed=0, patience=5)
@@ -100,6 +101,45 @@ class TestUpgrade:
                 )
         assert latency.master_comm_s > 0
         assert master.assignment_of("op-1") is not None
+
+    def test_upgrade_steps_are_phases(self, network, grid_16, link):
+        planner = IntraNetworkPlanner(
+            network,
+            grid_16.channels(),
+            link=link,
+            config=PlannerConfig(ga=FAST),
+        )
+        probe = PerfProbe()
+        master = MasterNode(grid_16, expected_networks=2)
+        with MasterServer(master) as server:
+            with MasterClient(server.address) as client:
+                with probe.attach():
+                    run_capacity_upgrade(
+                        planner, master_client=client, operator="op-1"
+                    )
+        phases = probe.report()["deterministic"]["phases"]
+        gateways = len(network.gateways)
+        assert phases == {
+            Phase.SYNC: {"calls": 1, "items": 1},
+            Phase.PLAN: {"calls": 1, "items": len(network.devices)},
+            Phase.DISTRIBUTE: {"calls": 1, "items": gateways},
+            Phase.REBOOT: {"calls": 1, "items": gateways},
+        }
+
+    def test_no_sync_phase_without_a_master(self, network, grid_16, link):
+        planner = IntraNetworkPlanner(
+            network,
+            grid_16.channels(),
+            link=link,
+            config=PlannerConfig(ga=FAST),
+        )
+        probe = PerfProbe()
+        with probe.attach():
+            run_capacity_upgrade(planner, agent_seed=1)
+        phases = probe.report()["deterministic"]["phases"]
+        assert Phase.SYNC not in phases
+        assert phases[Phase.PLAN]["calls"] == 1
+        assert phases[Phase.REBOOT]["calls"] == 1
 
     def test_sharing_requires_operator_name(self, network, grid_16, link):
         planner = IntraNetworkPlanner(

@@ -10,6 +10,7 @@ from repro.faults import (
     RetransmitPolicy,
 )
 from repro.gateway.gateway import Outcome
+from repro.obs.perf import PerfProbe, Phase
 from repro.phy.lora import DataRate
 from repro.sim.engine import OFFLINE_OUTCOME, OnlineSimulator
 from repro.sim.metrics import outcome_counts, retry_delivery_breakdown
@@ -213,6 +214,30 @@ class TestRetransmission:
             t.key() == tx.key() and t.attempt > 0
             for t in res.retransmissions
         )
+
+    def test_rounds_are_timed_as_a_phase(self, net, link):
+        # Every node sends into the downtime, so frames retry over rounds.
+        txs = [
+            dev.transmit(10.2 + 0.01 * i) for i, dev in enumerate(net.devices)
+        ]
+        plan = FaultPlan(
+            seed=5,
+            gateway_crashes=(
+                GatewayCrash(time_s=10.0, gateway_id=0, down_s=8.0),
+            ),
+        )
+        probe = PerfProbe()
+        with probe.attach():
+            res = run_with_retransmissions(
+                _sim(net, link),
+                txs,
+                fault_plan=plan,
+                policy=RetransmitPolicy(max_retries=3),
+                window_s=60.0,
+            )
+        stat = probe.report()["deterministic"]["phases"][Phase.RETRANSMIT]
+        assert res.rounds >= 2 and res.retransmissions
+        assert stat == {"calls": res.rounds, "items": len(res.retransmissions)}
 
     def test_unconfirmed_frames_are_not_retried(self, net, link):
         dev = net.devices[0]

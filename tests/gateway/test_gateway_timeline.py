@@ -99,9 +99,9 @@ def test_events_after_the_last_lock_on_are_not_applied(net, link, grid_16):
         TimelineEvent(time_s=last + 2.0, decoders=1),
     ]
     channels = gw.channels
-    with observe(metrics=False, spans=False) as plain_session:
+    with observe(metrics=False) as plain_session:
         plain = gw.receive(obs)
-    with observe(metrics=False, spans=False) as late_session:
+    with observe(metrics=False) as late_session:
         timed = gw.receive(obs, timeline=late)
     assert timed == plain
     assert gw.channels == channels
@@ -130,14 +130,14 @@ def test_receive_is_the_online_loop_under_crash_and_backhaul(net, link):
         ),
     )
     sim = OnlineSimulator(net.gateways, net.devices, link=link)
-    with observe(metrics=False, spans=False) as online_session:
+    with observe(metrics=False) as online_session:
         result = sim.run_online(txs, fault_plan=plan)
 
     gw = net.gateways[0]
     timeline = [
         TimelineEvent(time_s=crash.time_s, outage_s=crash.down_s, reboot=True)
     ]
-    with observe(metrics=False, spans=False) as direct_session:
+    with observe(metrics=False) as direct_session:
         records = gw.receive(_observe(net, link, txs), None, timeline, plan)
 
     assert records == [result.records_for(tx)[0] for tx in txs]

@@ -18,3 +18,7 @@ def guard_too_late(value: float) -> None:
     metrics.counter("c").inc()
     if metrics is not None:
         metrics.counter("d").inc()
+
+
+def unguarded_probe(value: float) -> None:
+    _obs.PERF.count("phase")

@@ -17,9 +17,9 @@ def early_return(value: float) -> None:
 
 
 def truthiness_guard(value: float) -> None:
-    spans = _obs.SPANS
-    if spans:
-        spans.push("work")
+    probe = _obs.PERF
+    if probe:
+        probe.count("work")
 
 
 def boolop_guard(value: float) -> None:

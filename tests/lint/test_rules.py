@@ -20,7 +20,7 @@ EXPECTED_FAIL_COUNTS = {
     "DET001": 6,  # global fns x2, literal/unseeded Random, numpy x2
     "DET002": 4,  # time.time, perf_counter, monotonic, datetime.now
     "DET003": 3,  # ==, !=, method-attribute ==
-    "OBS001": 4,  # frozen import, chained, unguarded local, guard-too-late
+    "OBS001": 5,  # frozen import, chained, unguarded local, guard-too-late, PERF
     "OBS002": 4,  # camelCase metric, kind conflict, help conflict, bad rule name
     "API001": 5,  # two on scale(), one param, one return, one dataclass attr
     "UNIT001": 3,  # timeout, bandwidth, tx_power
@@ -105,7 +105,7 @@ class TestDet001Precision:
 class TestDet002Precision:
     def test_telemetry_modules_are_exempt(self):
         report = lint_source(
-            "src/repro/obs/profiling.py",
+            "src/repro/obs/perf.py",
             "from time import perf_counter\n"
             "def now() -> float:\n"
             "    return perf_counter()\n",

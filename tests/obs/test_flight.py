@@ -74,7 +74,7 @@ class TestDump:
 class TestSessionWiring:
     def test_observe_flight_true_attaches_black_box(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # default out_dir is cwd
-        with observe(trace=False, metrics=False, spans=False, flight=True) as s:
+        with observe(trace=False, metrics=False, flight=True) as s:
             assert s.flight is not None
             # trace=False still yields a count-only recorder carrying
             # the bus the black box listens on.
@@ -84,7 +84,7 @@ class TestSessionWiring:
 
     def test_observe_accepts_prebuilt_recorder(self, tmp_path):
         fr = FlightRecorder(capacity=16, out_dir=str(tmp_path))
-        with observe(trace=True, metrics=False, spans=False, flight=fr) as s:
+        with observe(trace=True, metrics=False, flight=fr) as s:
             assert s.flight is fr
             s.recorder.emit(EventType.MASTER_UNAVAILABLE, req="renew")
         assert fr.dumps, "trigger event must dump through the session bus"

@@ -400,7 +400,7 @@ class TestHealthMonitor:
 
 class TestObserveIntegration:
     def test_observe_health_attaches_listener(self):
-        with observe(trace=True, metrics=False, spans=False, health=True) as s:
+        with observe(trace=True, metrics=False, health=True) as s:
             from repro.obs import runtime
 
             assert runtime.HEALTH is s.health
@@ -408,18 +408,18 @@ class TestObserveIntegration:
         assert s.health.events_seen == 1
 
     def test_health_without_trace_uses_count_only_recorder(self):
-        with observe(trace=False, metrics=False, spans=False, health=True) as s:
+        with observe(trace=False, metrics=False, health=True) as s:
             s.recorder.emit(EventType.GW_LOCK_ON, t=1.0, gw=0)
             assert len(s.recorder) == 0  # storage off
         assert s.health.events_seen == 1  # listener still fed
 
     def test_custom_monitor_instance_is_used(self):
         monitor = HealthMonitor(rules=())
-        with observe(trace=False, metrics=False, spans=False, health=monitor) as s:
+        with observe(trace=False, metrics=False, health=monitor) as s:
             assert s.health is monitor
 
     def test_nested_session_still_raises(self):
-        with observe(trace=False, metrics=False, spans=False, health=True):
+        with observe(trace=False, metrics=False, health=True):
             with pytest.raises(RuntimeError):
                 with observe():
                     pass

@@ -32,7 +32,7 @@ class TestBatchInstrumentation:
             compact_network.gateways, compact_network.devices, link=link
         )
         txs = capacity_burst(compact_network.devices)
-        with observe(spans=False) as session:
+        with observe() as session:
             result = sim.run(txs)
         counts = session.event_counts()
         assert counts["sim.run_start"] == 1
@@ -51,7 +51,7 @@ class TestBatchInstrumentation:
             compact_network.gateways, compact_network.devices, link=link
         )
         txs = capacity_burst(compact_network.devices)
-        with observe(trace=False, spans=False) as session:
+        with observe(trace=False) as session:
             result = sim.run(txs)
         snap = session.metrics.to_json()
         metric_outcomes = {
@@ -61,19 +61,6 @@ class TestBatchInstrumentation:
         assert metric_outcomes == {
             k: float(v) for k, v in _outcomes(result).items()
         }
-
-    def test_spans_recorded(self, compact_network, link):
-        sim = Simulator(
-            compact_network.gateways, compact_network.devices, link=link
-        )
-        txs = capacity_burst(compact_network.devices)
-        with observe(trace=False, metrics=False) as session:
-            sim.run(txs)
-        summary = session.spans.flame_summary()
-        assert "sim.run" in summary
-        assert summary["sim.run/gateway"]["count"] == len(
-            compact_network.gateways
-        )
 
     def test_admission_follows_its_lock_on(self, plan_16, link):
         """Each packet's grant or reject comes right after its lock-on,
@@ -91,7 +78,7 @@ class TestBatchInstrumentation:
         burst = capacity_burst(net.devices)
         later = [replace(tx, start_s=tx.start_s + 10.0) for tx in burst]
         txs = (burst + later)[::-1]  # input order is not lock-on order
-        with observe(metrics=False, spans=False) as session:
+        with observe(metrics=False) as session:
             Simulator(net.gateways, net.devices, link=link).run(txs)
         events = session.recorder.to_dicts()
         seen = set()
@@ -149,7 +136,7 @@ class TestOnlineInstrumentation:
             channels=tuple(gw.channels),
             outage_s=5.0,
         )
-        with observe(spans=False) as session:
+        with observe() as session:
             result = sim.run_online(txs, [reconf])
         counts = session.event_counts()
         assert counts["gw.reboot"] == 1
@@ -170,8 +157,8 @@ class TestOnlineInstrumentation:
         assert offline_events > 0
 
     def test_run_start_says_which_simulator_ran(self, compact_network, link):
-        """``sim.run_start`` and the run span name the entry point, even
-        for an online run with nothing on its timeline."""
+        """``sim.run_start`` names the entry point, even for an online
+        run with nothing on its timeline."""
         sim = OnlineSimulator(
             compact_network.gateways, compact_network.devices, link=link
         )
@@ -185,6 +172,3 @@ class TestOnlineInstrumentation:
             if e.etype == EventType.SIM_RUN_START
         ]
         assert starts == [False, True]
-        summary = session.spans.flame_summary()
-        assert summary["sim.run"]["count"] == 1
-        assert summary["sim.run_online"]["count"] == 1

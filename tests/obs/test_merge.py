@@ -26,7 +26,7 @@ def _write_shard(path, ctx, events):
 def _traced_shard(tmp_path, name, emits):
     """Record events through a real session so lam stamping applies."""
     root = TraceContext.root("merge-test")
-    with observe(trace=True, metrics=False, spans=False) as session:
+    with observe(trace=True, metrics=False) as session:
         session.recorder.set_context(root.child(name))
         for etype, t, fields in emits:
             session.recorder.emit(etype, t=t, **fields)

@@ -8,6 +8,7 @@ volatile-key filter drops wholesale), and zero effect on the simulation
 """
 
 import json
+import os
 
 import pytest
 
@@ -27,8 +28,12 @@ from repro.obs.perf import (
     run_profiled,
 )
 from repro.obs.regress import compare_metrics, metrics_from_result
-from repro.scenarios import parse_spec
+from repro.scenarios import load_spec, parse_spec
 from repro.scenarios.compile import execute_run
+
+CHAOS = os.path.join(
+    os.path.dirname(__file__), "..", "..", "scenarios", "chaos.yaml"
+)
 
 SPEC = (
     "meta: {name: perf}\n"
@@ -174,6 +179,17 @@ class TestDeterminism:
         assert expected <= recorded
         assert recorded <= set(PHASES)
 
+    def test_chaos_phases_time_the_upgrade_and_retransmissions(self):
+        probe = PerfProbe()
+        with probe.attach():
+            execute_run(load_spec(CHAOS).runs()[0])
+        phases = probe.report()["deterministic"]["phases"]
+        assert set(phases) <= set(PHASES)
+        assert phases[Phase.PLAN] == {"calls": 1, "items": 24}
+        for phase in (Phase.SYNC, Phase.DISTRIBUTE, Phase.REBOOT):
+            assert phases[phase]["calls"] == 1
+        assert phases[Phase.RETRANSMIT] == {"calls": 2, "items": 11}
+
 
 class TestReport:
     def _report(self):
@@ -279,6 +295,28 @@ class TestRenderers:
             if line.startswith(("compile.build", "gw.detect", "compile.agg"))
         ]
         assert order == sorted(order)
+
+    def test_phase_table_columns_line_up(self):
+        # Two names longer than the 16 characters the column once had.
+        probe = PerfProbe()
+        with probe.attach():
+            for phase in (Phase.BUILD, Phase.AGGREGATE, Phase.DISTRIBUTE):
+                with phase_timed(phase, items=3):
+                    pass
+        lines = render_phase_table(probe.report()).splitlines()
+        head, rows, total = lines[0], lines[2:-2], lines[-1]
+        assert len(rows) == 3
+        ends = {
+            label: head.index(label) + len(label)
+            for label in ("calls", "items", "est_ms", "us/item", "share")
+        }
+
+        def ends_at(line, end):
+            return line[end - 1] != " " and line[end:end + 1] in ("", " ")
+
+        for row in rows:
+            assert all(ends_at(row, end) for end in ends.values()), row
+        assert ends_at(total, ends["est_ms"]) and ends_at(total, ends["share"])
 
     def test_phase_table_empty(self):
         assert "no phases" in render_phase_table(PerfProbe().report(1.0))

@@ -95,7 +95,7 @@ class TestDeterminism:
     def test_same_seed_byte_identical_modulo_manifest(self):
         blobs = []
         for _ in range(2):
-            with observe(metrics=False, spans=False) as session:
+            with observe(metrics=False) as session:
                 run_chaos(seed=0, fast=True)
             blobs.append(session.recorder.canonical_bytes())
         assert blobs[0] == blobs[1]
@@ -103,7 +103,7 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         blobs = []
         for seed in (0, 1):
-            with observe(metrics=False, spans=False) as session:
+            with observe(metrics=False) as session:
                 run_chaos(seed=seed, fast=True)
             blobs.append(session.recorder.canonical_bytes())
         assert blobs[0] != blobs[1]

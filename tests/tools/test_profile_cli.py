@@ -20,24 +20,22 @@ class TestProfileCli:
         assert "events/s" in out
         assert "gw.decode" in out
         assert "own_ms" in out  # hotspot table
-        assert "self" in out  # flame self-time column
 
     def test_json_report_to_stdout(self, capsys):
-        assert main(["profile", SMOKE, "--json", "-", "--no-flame"]) == 0
+        assert main(["profile", SMOKE, "--json", "-"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["spec"] == "ci-smoke"
         assert payload["run_index"] == 0
         report = payload["report"]
         assert report["deterministic"]["events"] > 0
         assert report["wall"]["events_per_s"] > 0
-        assert "flame" not in report["wall"]
 
     def test_json_report_to_file(self, tmp_path, capsys):
         path = str(tmp_path / "perf.json")
         assert main(["profile", SMOKE, "--json", path]) == 0
         with open(path) as fh:
             payload = json.load(fh)
-        assert payload["report"]["wall"]["flame"]
+        assert payload["report"]["wall"]["hotspots"]
 
     def test_flags(self, capsys):
         assert (
