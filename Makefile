@@ -32,5 +32,6 @@ examples:
 	python examples/coexistence_sharing.py
 	python examples/standards_compliance.py
 	python examples/city_scale.py
+	python examples/campaign_sweep.py
 
 all: test bench

@@ -33,7 +33,6 @@ assignment:
   kind: standard
   tier: {enabled: true, spread: true}
 traffic:
-  kind: poisson
   users: 1500
   mean_interval_s: 35.0
   window_s: 10.0

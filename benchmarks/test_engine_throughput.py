@@ -32,7 +32,6 @@ assignment:
   kind: standard
   tier: {enabled: true, spread: true}
 traffic:
-  kind: poisson
   users: 2400
   mean_interval_s: 30.0
   window_s: 12.0

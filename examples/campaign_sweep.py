@@ -38,7 +38,6 @@ assignment:
   split_channels: contiguous   # channel-disjoint networks
 
 traffic:
-  kind: capacity_burst
   shuffle: true
 
 sweep:

@@ -117,7 +117,6 @@ class CampaignStore:
                     f"resolves to {spec.digest}; use a fresh directory"
                 )
             return existing
-        os.makedirs(self.runs_dir, exist_ok=True)
         index = {
             "schema": 1,
             "name": spec.name,
@@ -129,6 +128,9 @@ class CampaignStore:
                 for r in spec.runs()
             ],
         }
+        # Created only once the grid expands: a spec that fails its run
+        # checks leaves no directory behind.
+        os.makedirs(self.runs_dir, exist_ok=True)
         _atomic_write(self.index_path, json.dumps(index, indent=2, sort_keys=True))
         _atomic_write(self.spec_path, dump_yaml(spec.resolved))
         return index

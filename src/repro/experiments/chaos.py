@@ -60,6 +60,8 @@ UPGRADE_S = 20.0
 # One gateway crashes mid-window, inside the Master outage.
 CRASH_S = 30.0
 CRASH_DOWN_S = 8.0
+# Per-device duty cycle of the data-plane traffic.
+DUTY_CYCLE = 0.003
 OPERATOR = "op-chaos"
 
 
@@ -69,17 +71,8 @@ def run_chaos(
     *,
     num_gateways: int = 3,
     num_nodes: Optional[int] = None,
-    window_s: float = WINDOW_S,
-    bucket_s: float = BUCKET_S,
-    outage_start_s: float = OUTAGE_START_S,
-    outage_s: float = OUTAGE_S,
-    upgrade_s: float = UPGRADE_S,
-    crash_s: float = CRASH_S,
-    crash_down_s: float = CRASH_DOWN_S,
-    duty_cycle: float = 0.003,
     width_m: float = 300.0,
     height_m: float = 300.0,
-    operator: str = OPERATOR,
 ) -> Dict[str, object]:
     """Run the full chaos scenario; returns deterministic metrics.
 
@@ -88,10 +81,9 @@ def run_chaos(
     the server inside it — no real 30 s wait).  Data plane: the online
     engine under the same plan, with confirmed-uplink retransmissions.
 
-    Every schedule constant is a keyword so the scenario compiler
-    (:mod:`repro.scenarios`) can drive the same code path from a spec
-    file; the defaults reproduce the historical hand-written run
-    byte-for-byte.
+    The deployment's shape is keyword-settable so the scenario compiler
+    (:mod:`repro.scenarios`) drives the same code path from a spec file;
+    the fault schedule is the module constants above.
     """
     grid = TESTBED_16.grid()
     channels = grid.channels()
@@ -115,20 +107,20 @@ def run_chaos(
     plan = FaultPlan(
         seed=seed,
         gateway_crashes=(
-            GatewayCrash(time_s=crash_s, gateway_id=crash_gw, down_s=crash_down_s),
+            GatewayCrash(time_s=CRASH_S, gateway_id=crash_gw, down_s=CRASH_DOWN_S),
         ),
         backhaul_faults=(
             BackhaulFault(
                 gateway_id=lossy_gw,
-                start_s=crash_s,
-                end_s=crash_s + crash_down_s,
+                start_s=CRASH_S,
+                end_s=CRASH_S + CRASH_DOWN_S,
                 drop_prob=0.3,
                 delay_mean_s=0.05,
                 delay_jitter_s=0.02,
             ),
         ),
         master_outages=(
-            MasterOutage(start_s=outage_start_s, duration_s=outage_s),
+            MasterOutage(start_s=OUTAGE_START_S, duration_s=OUTAGE_S),
         ),
     )
 
@@ -161,29 +153,29 @@ def run_chaos(
             sleep=lambda _s: None,  # backoff is modelled, not waited out
         ) as client:
             # Healthy sync at t=0 pre-warms the last-known-assignment cache.
-            netserver.sync_with_master(client, operator, cache=cache)
+            netserver.sync_with_master(client, OPERATOR, cache=cache)
             # Mid-outage upgrade: every request is dropped; the upgrade
             # must complete on the cached assignment in degraded mode.
-            clock_now[0] = upgrade_s
+            clock_now[0] = UPGRADE_S
             outcome, latency = run_capacity_upgrade(
                 planner,
                 master_client=client,
-                operator=operator,
+                operator=OPERATOR,
                 agent_seed=seed,
                 assignment_cache=cache,
             )
-            netserver.sync_with_master(client, operator, cache=cache)
+            netserver.sync_with_master(client, OPERATOR, cache=cache)
             degraded_during_outage = netserver.degraded
             # The outage ends; the next sync clears degraded mode.
-            clock_now[0] = outage_start_s + outage_s + 1.0
-            netserver.sync_with_master(client, operator, cache=cache)
+            clock_now[0] = OUTAGE_START_S + OUTAGE_S + 1.0
+            netserver.sync_with_master(client, OPERATOR, cache=cache)
             client_retries = client.retries
             client_reconnects = client.reconnects
         dropped_requests = server.dropped_requests
 
     # -- data plane: the crash window with retransmissions ---------------
     traffic = duty_cycle_schedule(
-        net.devices, window_s=window_s, seed=seed + 1, duty_cycle=duty_cycle
+        net.devices, window_s=WINDOW_S, seed=seed + 1, duty_cycle=DUTY_CYCLE
     )
     sim = OnlineSimulator(net.gateways, net.devices, link=link)
     res = run_with_retransmissions(
@@ -191,7 +183,7 @@ def run_chaos(
         traffic,
         fault_plan=plan,
         policy=RetransmitPolicy(max_retries=2),
-        window_s=window_s,
+        window_s=WINDOW_S,
     )
     for records in res.result.receptions.values():
         netserver.ingest(records)
@@ -199,15 +191,15 @@ def run_chaos(
     # Recovery is judged against the run's own pre-fault PRR: a dense
     # deployment with a lower steady state still "recovers" once it is
     # back within 90 % of its healthy level.
-    prr_series = bucketed_prr(res.result, window_s, bucket_s)
-    pre_fault = prr_series[: int(crash_s // bucket_s)]
+    prr_series = bucketed_prr(res.result, WINDOW_S, BUCKET_S)
+    pre_fault = prr_series[: int(CRASH_S // BUCKET_S)]
     threshold = 0.9 * (sum(pre_fault) / len(pre_fault)) if pre_fault else 0.9
 
     # Wall-clock terms (CP solve time, measured RTTs) are deliberately
     # excluded: everything below reproduces byte-for-byte under a seed.
     return {
-        "window_s": window_s,
-        "bucket_s": bucket_s,
+        "window_s": WINDOW_S,
+        "bucket_s": BUCKET_S,
         "fault_plan": plan.to_dict(),
         "upgrade_degraded": latency.degraded,
         "upgrade_distribution_s": latency.distribution_s,
@@ -229,9 +221,9 @@ def run_chaos(
         "retransmission_rounds": res.rounds,
         "recovery_threshold": threshold,
         "time_to_recover_s": time_to_recover_s(
-            res.result, crash_s, window_s, bucket_s=bucket_s, threshold=threshold
+            res.result, CRASH_S, WINDOW_S, bucket_s=BUCKET_S, threshold=threshold
         ),
-        "degraded_time_s": degraded_time_s(plan, window_s),
+        "degraded_time_s": degraded_time_s(plan, WINDOW_S),
         "unique_frames_delivered": len(netserver.received_node_ids()),
         **_health_summary(),
     }

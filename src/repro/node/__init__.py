@@ -7,13 +7,11 @@ from .device import EndDevice
 from .traffic import (
     burst_by_final_preamble,
     capacity_burst,
-    concurrent_burst,
     duty_cycle_schedule,
 )
 
 __all__ = [
     "ADR_MARGIN_DB", "AdrDecision", "POWER_STEPS_DBM", "adr_decision",
     "EndDevice",
-    "burst_by_final_preamble", "capacity_burst", "concurrent_burst",
-    "duty_cycle_schedule",
+    "burst_by_final_preamble", "capacity_burst", "duty_cycle_schedule",
 ]

@@ -13,17 +13,13 @@ Two workload shapes cover every experiment in the paper:
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from ..types import Transmission
 from .device import EndDevice
 
 __all__ = [
     "duty_cycle_schedule",
-    "periodic_schedule",
-    "bursty_schedule",
-    "diurnal_schedule",
-    "concurrent_burst",
     "burst_by_final_preamble",
     "capacity_burst",
 ]
@@ -72,131 +68,6 @@ def duty_cycle_schedule(
             t += rng.expovariate(rate)
     out.sort(key=lambda tx: tx.start_s)
     return out
-
-
-def periodic_schedule(
-    devices: Sequence[EndDevice],
-    window_s: float,
-    period_s: float = 60.0,
-    jitter_s: float = 1.0,
-    seed: int = 0,
-) -> List[Transmission]:
-    """Fixed-interval reports with a seeded phase and per-report jitter.
-
-    The canonical metering workload: every device reports once per
-    ``period_s``, de-synchronized by a random initial phase plus a
-    small uniform jitter on each report (as real firmware does to
-    avoid fleet-wide synchronization).
-    """
-    if window_s <= 0 or period_s <= 0:
-        raise ValueError("window and period must be positive")
-    if jitter_s < 0:
-        raise ValueError("jitter must be non-negative")
-    rng = random.Random(seed)
-    out: List[Transmission] = []
-    for dev in devices:
-        phase = rng.uniform(0.0, period_s)
-        k = 0
-        while True:
-            t = phase + k * period_s + rng.uniform(-jitter_s, jitter_s)
-            if t >= window_s:
-                break
-            if t >= 0.0:
-                out.append(dev.transmit(t))
-            k += 1
-    out.sort(key=lambda tx: tx.start_s)
-    return out
-
-
-def bursty_schedule(
-    devices: Sequence[EndDevice],
-    window_s: float,
-    burst_size: int = 8,
-    burst_interval_s: float = 30.0,
-    burst_span_s: float = 0.5,
-    seed: int = 0,
-) -> List[Transmission]:
-    """Correlated event bursts: many devices react to a shared trigger.
-
-    Burst triggers arrive as a Poisson process (mean spacing
-    ``burst_interval_s``); each trigger fires ``burst_size`` randomly
-    chosen devices within ``burst_span_s`` — the alarm-flood shape that
-    stresses decoder pools far beyond a smooth Poisson load of equal
-    average rate.
-    """
-    if window_s <= 0 or burst_interval_s <= 0 or burst_span_s <= 0:
-        raise ValueError("window, interval, and span must be positive")
-    if burst_size < 1:
-        raise ValueError("need at least one device per burst")
-    if not devices:
-        return []
-    rng = random.Random(seed)
-    out: List[Transmission] = []
-    t = rng.expovariate(1.0 / burst_interval_s)
-    while t < window_s:
-        for _ in range(burst_size):
-            dev = devices[rng.randrange(len(devices))]
-            out.append(dev.transmit(t + rng.uniform(0.0, burst_span_s)))
-        t += rng.expovariate(1.0 / burst_interval_s)
-    out.sort(key=lambda tx: tx.start_s)
-    return out
-
-
-def diurnal_schedule(
-    devices: Sequence[EndDevice],
-    window_s: float,
-    mean_interval_s: float = 600.0,
-    peak_ratio: float = 4.0,
-    period_s: float = 86_400.0,
-    seed: int = 0,
-) -> List[Transmission]:
-    """Day/night-modulated Poisson traffic (thinning method).
-
-    Each device transmits as a non-homogeneous Poisson process whose
-    rate swings sinusoidally over ``period_s`` with a peak-to-trough
-    ratio of ``peak_ratio`` while keeping the same *mean* rate as a
-    flat process of ``mean_interval_s`` — so capacity results isolate
-    the effect of the rush hour, not of extra offered load.
-    """
-    if window_s <= 0 or mean_interval_s <= 0 or period_s <= 0:
-        raise ValueError("window, interval, and period must be positive")
-    if peak_ratio < 1.0:
-        raise ValueError("peak ratio must be >= 1")
-    import math
-
-    rng = random.Random(seed)
-    base_rate = 1.0 / mean_interval_s
-    # Amplitude giving max/min = peak_ratio with a unit mean.
-    amp = (peak_ratio - 1.0) / (peak_ratio + 1.0)
-    max_rate = base_rate * (1.0 + amp)
-    out: List[Transmission] = []
-    for dev in devices:
-        t = 0.0
-        while True:
-            t += rng.expovariate(max_rate)
-            if t >= window_s:
-                break
-            rate = base_rate * (1.0 + amp * math.sin(2.0 * math.pi * t / period_s))
-            if rng.random() * max_rate <= rate:
-                out.append(dev.transmit(t))
-    out.sort(key=lambda tx: tx.start_s)
-    return out
-
-
-def concurrent_burst(
-    devices: Sequence[EndDevice],
-    slot_s: float = 0.005,
-    start_s: float = 0.0,
-) -> List[Transmission]:
-    """Schedule devices to transmit concurrently in micro time slots.
-
-    Device ``i`` starts in slot ``i`` (the paper's Scheme (a): leading
-    preamble symbols arrive in device order).  With a few-millisecond
-    slot the packets overlap almost entirely on air.
-    """
-    return [
-        dev.transmit(start_s + i * slot_s) for i, dev in enumerate(devices)
-    ]
 
 
 def burst_by_final_preamble(

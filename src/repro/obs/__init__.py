@@ -57,7 +57,6 @@ from .perf import (
 from .recorder import TraceRecorder, load_trace
 from .timeline import (
     decoder_occupancy,
-    filter_events,
     final_run_events,
     packet_timelines,
     render_occupancy,
@@ -106,7 +105,6 @@ __all__ = [
     "trace_outcome_counts",
     "packet_timelines",
     "decoder_occupancy",
-    "filter_events",
     "summarize_trace",
     "render_occupancy",
     "runtime",

@@ -28,7 +28,6 @@ __all__ = [
     "trace_outcome_counts",
     "packet_timelines",
     "decoder_occupancy",
-    "filter_events",
     "summarize_trace",
     "render_occupancy",
 ]
@@ -166,28 +165,6 @@ def decoder_occupancy(
             for x in xs
         ]
     return xs, series
-
-
-def filter_events(
-    events: Sequence[Event],
-    etype: Optional[str] = None,
-    gateway: Optional[int] = None,
-    node: Optional[int] = None,
-    network: Optional[int] = None,
-) -> List[Event]:
-    """Select events by type and/or identity fields."""
-    out: List[Event] = []
-    for ev in events:
-        if etype is not None and ev.get("type") != etype:
-            continue
-        if gateway is not None and ev.get("gw") != gateway:
-            continue
-        if node is not None and ev.get("node") != node:
-            continue
-        if network is not None and ev.get("net") != network:
-            continue
-        out.append(ev)
-    return out
 
 
 def summarize_trace(events: Sequence[Event]) -> Dict[str, Any]:

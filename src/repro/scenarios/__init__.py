@@ -1,7 +1,7 @@
 """Declarative scenario specs: parse, validate, sweep, compile, run.
 
 A scenario file (YAML subset or JSON) describes *what* to simulate —
-region, area, topology, networks, assignment, traffic, faults, sweep
+run kind, region, area, networks, assignment, link, traffic, sweep
 axes — and this package turns it into fully seeded deterministic run
 configs (:mod:`repro.scenarios.spec`) and executes them
 (:mod:`repro.scenarios.compile`).  Campaign orchestration lives in

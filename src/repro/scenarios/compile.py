@@ -3,22 +3,22 @@
 The compiler is the bridge between the declarative spec layer
 (:mod:`repro.scenarios.spec`) and the simulation builders
 (:mod:`repro.sim.scenario`): it materializes the channel grid, the
-deployment geometry, the operator networks, their channel/DR
-assignments, and the traffic workload, then executes one of three run
-kinds:
+operator networks and their channel/DR assignments, then executes one
+of three run kinds:
 
 * ``capacity`` — the concurrent-burst capacity probe behind every
   "maximum concurrent users" figure,
-* ``load`` — emulated-population traffic with a per-cause loss
-  breakdown (the Figure 4 protocol), optionally under a fault plan,
-* ``chaos`` — the full fault-injection resilience scenario.
+* ``load`` — Poisson traffic from an emulated user population, with a
+  per-cause loss breakdown (the Figure 4 protocol),
+* ``chaos`` — the fault-injection resilience scenario of
+  :mod:`repro.experiments.chaos`.
 
 Seeding contract (the reason spec-compiled runs reproduce the
-hand-written scripts byte-for-byte): the run seed comes from the spec
-(`run.seed_mode`), network ``k`` builds with
+hand-written scripts byte-for-byte): run ``i`` runs with
+``seed + run.seed_stride * i``, network ``k`` builds with
 ``run_seed + networks.seed_stride * k`` (unless its list entry pins
 ``seed_offset``), per-network traffic draws from
-``run_seed + traffic.seed_stride * k``, and the link-budget shadowing
+``run_seed + traffic.seed_stride * k``, and a ``lab`` link's shadowing
 uses the scenario's *base* seed — propagation belongs to the
 deployment, not to the run.
 """
@@ -26,57 +26,29 @@ deployment, not to the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
-from ..faults import FaultPlan
 from ..obs.perf import Phase, phase_timed
-from ..node.traffic import (
-    bursty_schedule,
-    diurnal_schedule,
-    periodic_schedule,
-)
-from ..phy.channels import Channel, ChannelGrid, ChannelPlan
-from ..phy.link import LogDistancePathLoss, Position
-from ..phy.regions import AS923, EU868, TESTBED_16, TESTBED_48, US915, Band
-from ..sim.engine import OnlineSimulator
-from ..sim.metrics import breakdown_ratios, outcome_counts
+from ..phy.channels import Channel, ChannelGrid
+from ..sim.metrics import breakdown_ratios
 from ..sim.scenario import (
     Network,
     assign_orthogonal_combos,
-    assign_plan_homogeneous,
-    assign_random_channels,
     assign_tier_by_reach,
     build_network,
 )
 from ..sim.simulator import SimulationResult, Simulator
-from ..sim.topology import LinkBudget, clustered_positions, imported_positions
-from .spec import RunConfig, ScenarioSpec, SpecError, area_preset
+from ..sim.topology import LinkBudget
+from .spec import BANDS, RunConfig, ScenarioSpec, SpecError, area_preset
 
-__all__ = ["CompiledRun", "compile_run", "execute_run", "BANDS"]
-
-BANDS: Dict[str, Band] = {
-    "US915": US915,
-    "EU868": EU868,
-    "AS923": AS923,
-    "TESTBED_48": TESTBED_48,
-    "TESTBED_16": TESTBED_16,
-}
-
-
-def _band(config: Mapping[str, Any]) -> Band:
-    name = config["region"]["band"]
-    if name not in BANDS:
-        raise SpecError(
-            f"region.band: unknown band {name!r} (expected one of {sorted(BANDS)})"
-        )
-    return BANDS[name]
+__all__ = ["CompiledRun", "compile_run", "execute_run"]
 
 
 def _grid_and_channels(
     config: Mapping[str, Any],
 ) -> Tuple[ChannelGrid, List[Channel]]:
     region = config["region"]
-    grid = _band(config).grid(float(region["spacing_hz"]))
+    grid = BANDS[region["band"]].grid()
     channels = grid.channels()
     limit = region["channels"]
     if limit is not None:
@@ -96,100 +68,51 @@ def _area(config: Mapping[str, Any]) -> Tuple[float, float]:
     return area_preset(area["preset"])
 
 
-def _network_entries(config: Mapping[str, Any]) -> List[Dict[str, Any]]:
+def _pick(entry: Mapping[str, Any], key: str, default: Any) -> int:
+    value = entry.get(key)
+    return int(value if value is not None else default)
+
+
+def _network_entries(config: Mapping[str, Any]) -> List[Dict[str, int]]:
     """One resolved build recipe per network."""
     networks = config["networks"]
-    count = int(networks["count"])
-    if count < 1:
-        raise SpecError("networks.count: need at least one network")
-    entries: List[Dict[str, Any]] = []
     overrides = networks.get("list") or []
-    for k in range(count):
-        entry = dict(overrides[k]) if k < len(overrides) else {}
+    entries: List[Dict[str, int]] = []
+    for k in range(int(networks["count"])):
+        entry = overrides[k] if k < len(overrides) else {}
         entries.append(
             {
-                "gateways": int(entry.get("gateways") or networks["gateways"]),
-                "devices": int(entry.get("devices") or networks["devices"]),
-                "seed_offset": (
-                    int(entry["seed_offset"])
-                    if entry.get("seed_offset") is not None
-                    else k * int(networks["seed_stride"])
+                "gateways": _pick(entry, "gateways", networks["gateways"]),
+                "devices": _pick(entry, "devices", networks["devices"]),
+                "seed_offset": _pick(
+                    entry, "seed_offset", k * int(networks["seed_stride"])
                 ),
-                "gateway_id_base": (
-                    int(entry["gateway_id_base"])
-                    if entry.get("gateway_id_base") is not None
-                    else k * int(networks["gateway_id_stride"])
+                "gateway_id_base": _pick(
+                    entry, "gateway_id_base", k * int(networks["gateway_id_stride"])
                 ),
-                "node_id_base": (
-                    int(entry["node_id_base"])
-                    if entry.get("node_id_base") is not None
-                    else k * int(networks["node_id_stride"])
+                "node_id_base": _pick(
+                    entry, "node_id_base", k * int(networks["node_id_stride"])
                 ),
             }
         )
     return entries
 
 
-def _node_positions(
-    config: Mapping[str, Any],
-    num_nodes: int,
-    seed: int,
-    width_m: float,
-    height_m: float,
-) -> Optional[List[Position]]:
-    topo = config["topology"]
-    layout = topo["device_layout"]
-    if layout == "uniform":
-        return None  # build_network's seeded uniform scatter
-    if layout == "clustered":
-        return clustered_positions(
-            num_nodes,
-            seed=seed,
-            width_m=width_m,
-            height_m=height_m,
-            clusters=int(topo["cluster_count"]),
-            spread_m=float(topo["cluster_spread_m"]),
-        )
-    if layout == "points":
-        return imported_positions(
-            num_nodes, topo["points"] or [], width_m=width_m, height_m=height_m
-        )
-    raise SpecError(
-        f"topology.device_layout: unknown layout {layout!r} "
-        "(expected uniform | clustered | points)"
-    )
-
-
 def _link_budget(config: Mapping[str, Any]) -> LinkBudget:
-    link = config["link"]
-    seed = int(link["seed"]) if link["seed"] is not None else int(config["seed"])
-    if link["kind"] == "lab":
-        sigma = float(link["sigma_db"]) if link["sigma_db"] is not None else 2.0
-        return LinkBudget(path_loss=LogDistancePathLoss(sigma_db=sigma, seed=seed))
-    if link["kind"] == "urban":
-        if link["sigma_db"] is None and link["seed"] is None:
-            return LinkBudget()
-        kwargs: Dict[str, Any] = {"seed": seed}
-        if link["sigma_db"] is not None:
-            kwargs["sigma_db"] = float(link["sigma_db"])
-        return LinkBudget(path_loss=LogDistancePathLoss(**kwargs))
-    raise SpecError(
-        f"link.kind: unknown kind {link['kind']!r} (expected lab | urban)"
-    )
+    if config["link"]["kind"] == "lab":
+        from ..experiments.common import lab_link
+
+        return lab_link(seed=int(config["seed"]))
+    return LinkBudget()
 
 
 def _channel_slice(
     channels: Sequence[Channel], k: int, count: int, mode: str
 ) -> List[Channel]:
-    if mode == "none":
-        return list(channels)
     if mode == "contiguous":
         n = len(channels)
         return list(channels[k * n // count : (k + 1) * n // count])
-    raise SpecError(
-        f"assignment.split_channels: unknown mode {mode!r} "
-        "(expected none | contiguous)"
-    )
+    return list(channels)
 
 
 @dataclass
@@ -199,26 +122,15 @@ class _BuiltScenario:
     grid: ChannelGrid
     channels: List[Channel]
     link: LinkBudget
-    width_m: float
-    height_m: float
 
 
 def _build(config: Mapping[str, Any], run_seed: int) -> _BuiltScenario:
     grid, channels = _grid_and_channels(config)
     width_m, height_m = _area(config)
-    entries = _network_entries(config)
-    if config["topology"]["gateway_layout"] != "grid":
-        raise SpecError(
-            "topology.gateway_layout: only 'grid' is supported "
-            f"(got {config['topology']['gateway_layout']!r})"
-        )
     networks: List[Network] = []
     build_seeds: List[int] = []
-    for k, entry in enumerate(entries):
+    for k, entry in enumerate(_network_entries(config)):
         build_seed = run_seed + entry["seed_offset"]
-        positions = _node_positions(
-            config, entry["devices"], build_seed, width_m, height_m
-        )
         networks.append(
             build_network(
                 network_id=k + 1,
@@ -230,7 +142,6 @@ def _build(config: Mapping[str, Any], run_seed: int) -> _BuiltScenario:
                 node_id_base=entry["node_id_base"],
                 width_m=width_m,
                 height_m=height_m,
-                node_positions=positions,
             )
         )
         build_seeds.append(build_seed)
@@ -240,14 +151,11 @@ def _build(config: Mapping[str, Any], run_seed: int) -> _BuiltScenario:
         grid=grid,
         channels=channels,
         link=_link_budget(config),
-        width_m=width_m,
-        height_m=height_m,
     )
 
 
 def _assign(config: Mapping[str, Any], built: _BuiltScenario) -> None:
     assignment = config["assignment"]
-    kind = assignment["kind"]
     count = len(built.networks)
     for k, net in enumerate(built.networks):
         chans = _channel_slice(
@@ -259,23 +167,12 @@ def _assign(config: Mapping[str, Any], built: _BuiltScenario) -> None:
                 f"({count} networks over {len(built.channels)} channels)"
             )
         seed = built.build_seeds[k]
-        if kind == "orthogonal":
+        if assignment["kind"] == "orthogonal":
             assign_orthogonal_combos(net.devices, chans)
-        elif kind == "standard":
+        else:
             from ..baselines.standard import apply_standard_lorawan
 
             apply_standard_lorawan(net, built.grid, seed=seed)
-        elif kind == "homogeneous":
-            assign_plan_homogeneous(
-                net, ChannelPlan(channels=tuple(chans), name="spec"), seed=seed
-            )
-        elif kind == "random":
-            assign_random_channels(net.devices, chans, seed=seed)
-        elif kind != "none":
-            raise SpecError(
-                f"assignment.kind: unknown kind {kind!r} (expected "
-                "orthogonal | standard | homogeneous | random | none)"
-            )
         tier = assignment["tier"]
         if tier["enabled"]:
             assign_tier_by_reach(
@@ -285,16 +182,14 @@ def _assign(config: Mapping[str, Any], built: _BuiltScenario) -> None:
             )
 
 
-def _fault_plan(config: Mapping[str, Any], run_seed: int) -> Optional[FaultPlan]:
-    doc = config.get("faults") or {}
-    if not doc:
-        return None
-    data = dict(doc)
-    data.setdefault("seed", run_seed)
-    try:
-        return FaultPlan.from_dict(data)
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"faults: {exc}") from None
+def _build_and_assign(config: Mapping[str, Any], run_seed: int) -> _BuiltScenario:
+    with phase_timed(Phase.BUILD) as pt:
+        built = _build(config, run_seed)
+        pt.items = sum(len(n.devices) for n in built.networks)
+    with phase_timed(Phase.ASSIGN) as pt:
+        _assign(config, built)
+        pt.items = sum(len(n.devices) for n in built.networks)
+    return built
 
 
 # -- executors --------------------------------------------------------------
@@ -323,18 +218,8 @@ def _execute_capacity(
 ) -> Dict[str, Any]:
     from ..experiments.common import measure_capacity, stagger_duplicate_powers
 
-    with phase_timed(Phase.BUILD) as pt:
-        built = _build(config, run_seed)
-        pt.items = sum(len(n.devices) for n in built.networks)
-    with phase_timed(Phase.ASSIGN) as pt:
-        _assign(config, built)
-        pt.items = sum(len(n.devices) for n in built.networks)
+    built = _build_and_assign(config, run_seed)
     traffic = config["traffic"]
-    if traffic["kind"] != "capacity_burst":
-        raise SpecError(
-            "traffic.kind: capacity runs use capacity_burst "
-            f"(got {traffic['kind']!r})"
-        )
     if traffic["stagger_powers"]:
         for net in built.networks:
             stagger_duplicate_powers(net.devices)
@@ -344,7 +229,6 @@ def _execute_capacity(
         gateways,
         devices,
         link=built.link,
-        payload_bytes=int(traffic["payload_bytes"]),
         shuffle_seed=run_seed if traffic["shuffle"] else None,
     )
     with phase_timed(Phase.AGGREGATE, items=len(devices)):
@@ -357,91 +241,38 @@ def _execute_capacity(
         }
         if config["metrics"]["breakdown"]:
             out["breakdown"] = breakdown_ratios(result)
-        if config["metrics"]["outcomes"]:
-            out["outcome_counts"] = outcome_counts(result)
     return out
 
 
-def _make_load_traffic(
+def _load_traffic(
     config: Mapping[str, Any], built: _BuiltScenario, run_seed: int
 ) -> List[Any]:
     from ..experiments.common import emulated_traffic
 
     traffic = config["traffic"]
-    kind = traffic["kind"]
-    window_s = float(traffic["window_s"])
     txs: List[Any] = []
     for k, net in enumerate(built.networks):
-        seed = run_seed + int(traffic["seed_stride"]) * k
-        if kind == "poisson":
-            txs.extend(
-                emulated_traffic(
-                    net.devices,
-                    total_users=int(traffic["users"]),
-                    mean_interval_s=float(traffic["mean_interval_s"]),
-                    window_s=window_s,
-                    seed=seed,
-                )
+        txs.extend(
+            emulated_traffic(
+                net.devices,
+                total_users=int(traffic["users"]),
+                mean_interval_s=float(traffic["mean_interval_s"]),
+                window_s=float(traffic["window_s"]),
+                seed=run_seed + int(traffic["seed_stride"]) * k,
             )
-        elif kind == "periodic":
-            txs.extend(
-                periodic_schedule(
-                    net.devices,
-                    window_s=window_s,
-                    period_s=float(traffic["period_s"]),
-                    jitter_s=float(traffic["jitter_s"]),
-                    seed=seed,
-                )
-            )
-        elif kind == "bursty":
-            txs.extend(
-                bursty_schedule(
-                    net.devices,
-                    window_s=window_s,
-                    burst_size=int(traffic["burst_size"]),
-                    burst_interval_s=float(traffic["burst_interval_s"]),
-                    burst_span_s=float(traffic["burst_span_s"]),
-                    seed=seed,
-                )
-            )
-        elif kind == "diurnal":
-            txs.extend(
-                diurnal_schedule(
-                    net.devices,
-                    window_s=window_s,
-                    mean_interval_s=float(traffic["mean_interval_s"]),
-                    peak_ratio=float(traffic["diurnal_peak_ratio"]),
-                    period_s=float(traffic["diurnal_period_s"]),
-                    seed=seed,
-                )
-            )
-        else:
-            raise SpecError(
-                "traffic.kind: load runs use poisson | periodic | bursty "
-                f"| diurnal (got {kind!r})"
-            )
+        )
     txs.sort(key=lambda tx: tx.start_s)
     return txs
 
 
 def _execute_load(config: Mapping[str, Any], run_seed: int) -> Dict[str, Any]:
-    with phase_timed(Phase.BUILD) as pt:
-        built = _build(config, run_seed)
-        pt.items = sum(len(n.devices) for n in built.networks)
-    with phase_timed(Phase.ASSIGN) as pt:
-        _assign(config, built)
-        pt.items = sum(len(n.devices) for n in built.networks)
+    built = _build_and_assign(config, run_seed)
     with phase_timed(Phase.TRAFFIC) as pt:
-        txs = _make_load_traffic(config, built, run_seed)
+        txs = _load_traffic(config, built, run_seed)
         pt.items = len(txs)
     gateways = [gw for net in built.networks for gw in net.gateways]
     devices = [dev for net in built.networks for dev in net.devices]
-    plan = _fault_plan(config, run_seed)
-    if plan is not None:
-        sim = OnlineSimulator(gateways, devices, link=built.link)
-        result = sim.run_online(txs, fault_plan=plan)
-    else:
-        result = Simulator(gateways, devices, link=built.link).run(txs)
+    result = Simulator(gateways, devices, link=built.link).run(txs)
     with phase_timed(Phase.AGGREGATE, items=len(txs)):
         out: Dict[str, Any] = {
             "kind": "load",
@@ -454,8 +285,6 @@ def _execute_load(config: Mapping[str, Any], run_seed: int) -> Dict[str, Any]:
             out["breakdown"] = breakdown_ratios(result)
             for row, net in zip(out["networks"], built.networks):
                 row["breakdown"] = breakdown_ratios(result, net.network_id)
-        if config["metrics"]["outcomes"]:
-            out["outcome_counts"] = outcome_counts(result)
     return out
 
 
@@ -464,7 +293,6 @@ def _execute_chaos(config: Mapping[str, Any], run_seed: int) -> Dict[str, Any]:
     # plane, which scenario parsing must not depend on.
     from ..experiments.chaos import run_chaos
 
-    chaos = config["chaos"]
     networks = config["networks"]
     width_m, height_m = _area(config)
     result = run_chaos(
@@ -472,17 +300,8 @@ def _execute_chaos(config: Mapping[str, Any], run_seed: int) -> Dict[str, Any]:
         fast=bool(config["run"]["fast"]),
         num_gateways=int(networks["gateways"]),
         num_nodes=int(networks["devices"]),
-        window_s=float(chaos["window_s"]),
-        bucket_s=float(chaos["bucket_s"]),
-        outage_start_s=float(chaos["outage_start_s"]),
-        outage_s=float(chaos["outage_s"]),
-        upgrade_s=float(chaos["upgrade_s"]),
-        crash_s=float(chaos["crash_s"]),
-        crash_down_s=float(chaos["crash_down_s"]),
-        duty_cycle=float(chaos["duty_cycle"]),
         width_m=width_m,
         height_m=height_m,
-        operator=str(chaos["operator"]),
     )
     out = dict(result)
     out["kind"] = "chaos"

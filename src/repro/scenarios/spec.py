@@ -25,6 +25,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..phy.regions import AS923, EU868, TESTBED_16, TESTBED_48, US915, Band
 from .yamlparse import load_yaml, parse_yaml
 
 __all__ = [
@@ -40,24 +41,17 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "expand_sweep",
-    "derive_run_seed",
     "get_path",
     "set_path",
     "area_preset",
+    "BANDS",
 ]
 
 DEFAULTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "defaults.yaml")
 
 # Paths whose sub-structure is free-form (validated downstream, not
 # against the defaults tree).
-_FREEFORM_PATHS = {
-    "meta",
-    "faults",
-    "sweep",
-    "topology.points",
-    "networks.list",
-    "area_presets",
-}
+_FREEFORM_PATHS = {"meta", "sweep", "networks.list", "area_presets"}
 
 # Allowed keys of a per-network override entry (``networks.list[k]``).
 _NETWORK_ENTRY_KEYS = {
@@ -69,7 +63,24 @@ _NETWORK_ENTRY_KEYS = {
 }
 
 _RUN_KINDS = ("capacity", "load", "chaos")
-_SEED_MODES = ("offset", "hashed")
+
+BANDS: Dict[str, Band] = {
+    "US915": US915,
+    "EU868": EU868,
+    "AS923": AS923,
+    "TESTBED_48": TESTBED_48,
+    "TESTBED_16": TESTBED_16,
+}
+
+# The enumerated fields: (path, noun, allowed values).  Every expanded
+# run is checked against them, so a typo fails the spec whether it is
+# given directly or as a sweep point, before any run executes.
+_CHOICES = (
+    ("region.band", "band", tuple(sorted(BANDS))),
+    ("assignment.kind", "kind", ("orthogonal", "standard")),
+    ("assignment.split_channels", "mode", ("none", "contiguous")),
+    ("link.kind", "kind", ("lab", "urban")),
+)
 
 
 class SpecError(ValueError):
@@ -157,19 +168,7 @@ def _validate_freeform(path: str, value: Any) -> None:
                         f"{path}.{i}.{key}: unknown key (allowed: "
                         f"{sorted(_NETWORK_ENTRY_KEYS)})"
                     )
-    elif path == "topology.points":
-        if value is None:
-            return
-        if not isinstance(value, list):
-            raise SpecError(f"{path}: expected a list of [x_m, y_m] pairs")
-        for i, point in enumerate(value):
-            if not (
-                isinstance(point, (list, tuple))
-                and len(point) == 2
-                and all(isinstance(c, (int, float)) for c in point)
-            ):
-                raise SpecError(f"{path}.{i}: expected an [x_m, y_m] pair")
-    elif path in ("faults", "sweep", "meta"):
+    elif path in ("sweep", "meta"):
         if value is not None and not isinstance(value, Mapping):
             raise SpecError(f"{path}: expected a mapping")
 
@@ -197,11 +196,6 @@ def _check_enums(resolved: Mapping[str, Any]) -> None:
         raise SpecError(
             f"run.kind: unknown kind {run['kind']!r} (expected one of {_RUN_KINDS})"
         )
-    if run["seed_mode"] not in _SEED_MODES:
-        raise SpecError(
-            f"run.seed_mode: unknown mode {run['seed_mode']!r} "
-            f"(expected one of {_SEED_MODES})"
-        )
     preset = resolved["area"]["preset"]
     if preset != "custom" and preset not in resolved["area_presets"]:
         raise SpecError(
@@ -225,8 +219,6 @@ def resolve_spec(user_doc: Mapping[str, Any]) -> Dict[str, Any]:
     resolved = deep_merge(defaults, user_doc)
     if resolved.get("sweep") is None:
         resolved["sweep"] = {}
-    if resolved.get("faults") is None:
-        resolved["faults"] = {}
     _check_enums(resolved)
     return resolved
 
@@ -305,15 +297,32 @@ class RunConfig:
         }
 
 
-def derive_run_seed(
-    base_seed: int, mode: str, stride: int, spec_digest: str, index: int
-) -> int:
-    """The effective seed of run ``index`` under the spec's seed mode."""
-    if mode == "offset":
-        return base_seed + stride * index
-    material = f"{spec_digest}:{index}".encode()
-    word = hashlib.blake2b(material, digest_size=8).digest()
-    return int.from_bytes(word, "big") & 0x7FFFFFFF
+def _check_count(path: str, value: Any, least: int) -> None:
+    try:
+        ok = value is None or int(value) >= least
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise SpecError(f"{path}: expected an integer >= {least} (got {value!r})")
+
+
+def _check_run(config: Mapping[str, Any]) -> None:
+    """Reject enum typos and impossible network shapes in one run."""
+    for path, noun, choices in _CHOICES:
+        value = get_path(config, path)
+        if value not in choices:
+            raise SpecError(
+                f"{path}: unknown {noun} {value!r} (expected {' | '.join(choices)})"
+            )
+    networks = config["networks"]
+    _check_count("networks.count", networks["count"], 1)
+    entries = [("networks", networks)] + [
+        (f"networks.list.{i}", entry)
+        for i, entry in enumerate(networks.get("list") or [])
+    ]
+    for path, entry in entries:
+        _check_count(f"{path}.gateways", entry.get("gateways"), 1)
+        _check_count(f"{path}.devices", entry.get("devices"), 0)
 
 
 def _sweep_axes(
@@ -357,11 +366,12 @@ def expand_sweep(resolved: Mapping[str, Any]) -> List[RunConfig]:
 
     Axes multiply in sorted-path order (``zip`` groups advance in
     lockstep as one axis); each run's config is the resolved spec with
-    the axis values applied and the ``sweep`` section removed, and its
-    run ID is a content hash of ``{config, index}``.
+    the axis values applied and the ``sweep`` section removed, its seed
+    is ``seed + run.seed_stride * index``, and its run ID is a content
+    hash of ``{config, index}``.  Every run's config is checked before
+    any is returned (:func:`_check_run`).
     """
     base = {k: copy.deepcopy(v) for k, v in resolved.items() if k != "sweep"}
-    spec_digest = content_hash(resolved)
     axes = _sweep_axes(resolved.get("sweep") or {}, base)
     points = itertools.product(*axes) if axes else [()]
     runs: List[RunConfig] = []
@@ -372,13 +382,8 @@ def expand_sweep(resolved: Mapping[str, Any]) -> List[RunConfig]:
             for path, value in group.items():
                 set_path(config, path, copy.deepcopy(value))
                 overrides[path] = value
-        seed = derive_run_seed(
-            int(config["seed"]),
-            config["run"]["seed_mode"],
-            int(config["run"]["seed_stride"]),
-            spec_digest,
-            index,
-        )
+        _check_run(config)
+        seed = int(config["seed"]) + int(config["run"]["seed_stride"]) * index
         run_digest = content_hash({"config": config, "index": index})
         runs.append(
             RunConfig(

@@ -22,7 +22,6 @@ from .scenario import (
     Network,
     all_combos,
     assign_orthogonal_combos,
-    assign_plan_homogeneous,
     assign_random_channels,
     assign_tier_by_reach,
     build_network,
@@ -45,7 +44,7 @@ __all__ = [
     "retry_delivery_breakdown", "time_to_recover_s",
     "ResilientResult", "run_with_retransmissions",
     "Network", "all_combos", "assign_orthogonal_combos",
-    "assign_plan_homogeneous", "assign_random_channels",
+    "assign_random_channels",
     "assign_tier_by_reach", "build_network",
     "OnlineSimulator", "Reconfiguration", "Medium",
     "SimulationResult", "Simulator", "tx_key",

@@ -1,35 +1,26 @@
 """Scenario builders: assemble gateways, devices, and configurations.
 
 Helpers shared by the experiments: grid-deployed gateways, uniformly
-scattered nodes, homogeneous standard-plan configuration (the status
-quo the paper critiques), and orthogonal (channel, DR) assignment for
-capacity bursts.
+scattered nodes, orthogonal (channel, DR) assignment for capacity
+bursts, random device channels, and reach-based DR/power tiers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..gateway.gateway import Gateway
 from ..gateway.models import GatewayModel, get_model
 from ..node.device import EndDevice
-from ..phy.channels import Channel, ChannelGrid, ChannelPlan
-from ..phy.link import Position
+from ..phy.channels import Channel
 from ..phy.lora import DataRate
-from .topology import (
-    AREA_HEIGHT_M,
-    AREA_WIDTH_M,
-    LinkBudget,
-    grid_positions,
-    uniform_positions,
-)
+from .topology import AREA_HEIGHT_M, AREA_WIDTH_M, grid_positions, uniform_positions
 
 __all__ = [
     "Network",
     "build_network",
-    "assign_plan_homogeneous",
     "assign_orthogonal_combos",
     "assign_random_channels",
     "assign_tier_by_reach",
@@ -65,30 +56,20 @@ def build_network(
     height_m: float = AREA_HEIGHT_M,
     default_dr: DataRate = DataRate.DR2,
     tx_power_dbm: float = 14.0,
-    node_positions: Optional[Sequence[Position]] = None,
 ) -> Network:
     """Create a network with grid gateways and uniformly scattered nodes.
 
     Every gateway starts with the same ``channels`` configuration (the
     homogeneous status quo); nodes start on a round-robin channel from
-    the same set.  Planners reconfigure both afterwards.  Passing
-    ``node_positions`` (one per node) overrides the default uniform
-    scatter — the scenario compiler uses it for clustered and imported
-    device layouts.
+    the same set.  Planners reconfigure both afterwards.
     """
     if not channels:
         raise ValueError("need at least one channel")
     model = model or get_model()
     gw_positions = grid_positions(num_gateways, width_m, height_m)
-    if node_positions is None:
-        node_positions = uniform_positions(
-            num_nodes, seed=seed, width_m=width_m, height_m=height_m
-        )
-    elif len(node_positions) != num_nodes:
-        raise ValueError(
-            f"node_positions has {len(node_positions)} entries "
-            f"for {num_nodes} nodes"
-        )
+    node_positions = uniform_positions(
+        num_nodes, seed=seed, width_m=width_m, height_m=height_m
+    )
     gateways = [
         Gateway(
             gateway_id=gateway_id_base + i,
@@ -141,24 +122,6 @@ def assign_orthogonal_combos(
     for i, dev in enumerate(devices):
         ch, dr = combos[i % len(combos)]
         dev.apply_config(channel=ch, dr=dr)
-
-
-def assign_plan_homogeneous(
-    network: Network,
-    plan: ChannelPlan,
-    seed: int = 0,
-) -> None:
-    """Configure every gateway with ``plan`` and nodes randomly within it.
-
-    The standard-LoRaWAN baseline: all gateways share identical channel
-    settings, so they observe the same packets in the same order.
-    """
-    rng = random.Random(seed)
-    chans = list(plan.channels)
-    for gw in network.gateways:
-        gw.configure(chans)
-    for dev in network.devices:
-        dev.apply_config(channel=rng.choice(chans))
 
 
 def assign_tier_by_reach(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..phy.link import (
     LogDistancePathLoss,
@@ -24,8 +24,6 @@ __all__ = [
     "AREA_HEIGHT_M",
     "grid_positions",
     "uniform_positions",
-    "clustered_positions",
-    "imported_positions",
     "LinkBudget",
 ]
 
@@ -71,62 +69,6 @@ def uniform_positions(
         Position(rng.uniform(0.0, width_m), rng.uniform(0.0, height_m))
         for _ in range(count)
     ]
-
-
-def clustered_positions(
-    count: int,
-    seed: int = 0,
-    width_m: float = AREA_WIDTH_M,
-    height_m: float = AREA_HEIGHT_M,
-    clusters: int = 4,
-    spread_m: float = 60.0,
-) -> List[Position]:
-    """Scatter ``count`` nodes around seeded hot spots.
-
-    Models campus/industrial deployments where devices gather in a few
-    dense pockets: ``clusters`` centers are drawn uniformly over the
-    area, then each node picks a center and lands a Gaussian
-    ``spread_m`` away (clamped to the area).
-    """
-    if clusters < 1:
-        raise ValueError("need at least one cluster")
-    rng = random.Random(seed)
-    centers = [
-        (rng.uniform(0.0, width_m), rng.uniform(0.0, height_m))
-        for _ in range(clusters)
-    ]
-    out: List[Position] = []
-    for _ in range(count):
-        cx, cy = centers[rng.randrange(clusters)]
-        x = min(max(rng.gauss(cx, spread_m), 0.0), width_m)
-        y = min(max(rng.gauss(cy, spread_m), 0.0), height_m)
-        out.append(Position(x, y))
-    return out
-
-
-def imported_positions(
-    count: int,
-    points: Sequence[Sequence[float]],
-    width_m: float = AREA_WIDTH_M,
-    height_m: float = AREA_HEIGHT_M,
-) -> List[Position]:
-    """Place ``count`` nodes on an imported point set, cycling if short.
-
-    Points outside the area are clamped onto it — imported survey data
-    often hangs slightly over the modeled footprint.
-    """
-    if not points:
-        raise ValueError("need at least one imported point")
-    out: List[Position] = []
-    for i in range(count):
-        x, y = points[i % len(points)]
-        out.append(
-            Position(
-                min(max(float(x), 0.0), width_m),
-                min(max(float(y), 0.0), height_m),
-            )
-        )
-    return out
 
 
 @dataclass

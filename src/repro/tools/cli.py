@@ -75,7 +75,7 @@ from ..obs import observe, setup_logging
 from ..obs.manifest import Stopwatch, build_manifest
 from ..obs.recorder import load_trace
 from ..obs.regress import Tolerance, compare_runs, trace_diff
-from ..obs.timeline import filter_events, render_occupancy, summarize_trace
+from ..obs.timeline import render_occupancy, summarize_trace
 from .ascii_chart import bar_chart, line_chart
 from .watch import watch as run_watch
 
@@ -342,24 +342,6 @@ def _trace_command(args) -> int:
         return 0
     if args.trace_command == "summarize":
         print(json.dumps(summarize_trace(events), indent=2, default=str))
-        return 0
-    if args.trace_command == "filter":
-        selected = filter_events(
-            events,
-            etype=args.etype,
-            gateway=args.gateway,
-            node=args.node,
-            network=args.network,
-        )
-        shown = selected if args.limit is None else selected[: args.limit]
-        for ev in shown:
-            print(json.dumps(ev, separators=(",", ":")))
-        if len(shown) < len(selected):
-            print(
-                f"... {len(selected) - len(shown)} more "
-                f"(of {len(selected)} matching)",
-                file=sys.stderr,
-            )
         return 0
     if args.trace_command == "render":
         print(render_occupancy(events, bucket_s=args.bucket_s))
@@ -702,15 +684,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "summarize", help="aggregate view: events, packets, outcomes"
     )
     sum_p.add_argument("path")
-    filt_p = trace_sub.add_parser(
-        "filter", help="select events by type / gateway / node / network"
-    )
-    filt_p.add_argument("path")
-    filt_p.add_argument("--type", dest="etype", default=None)
-    filt_p.add_argument("--gateway", type=int, default=None)
-    filt_p.add_argument("--node", type=int, default=None)
-    filt_p.add_argument("--network", type=int, default=None)
-    filt_p.add_argument("--limit", type=int, default=None)
     rend_p = trace_sub.add_parser(
         "render", help="ASCII decoder-occupancy timeline"
     )

@@ -7,7 +7,6 @@ from repro.node.device import EndDevice
 from repro.node.traffic import (
     burst_by_final_preamble,
     capacity_burst,
-    concurrent_burst,
     duty_cycle_schedule,
 )
 from repro.phy.channels import ChannelGrid
@@ -29,18 +28,6 @@ def make_devices(count, dr_of=lambda i: DataRate(i % 6)):
         )
         for i in range(count)
     ]
-
-
-class TestConcurrentBurst:
-    def test_leading_edges_in_order(self):
-        txs = concurrent_burst(make_devices(10), slot_s=0.005)
-        starts = [t.start_s for t in txs]
-        assert starts == sorted(starts)
-        assert starts[1] - starts[0] == pytest.approx(0.005)
-
-    def test_one_packet_per_device(self):
-        txs = concurrent_burst(make_devices(10))
-        assert len({t.node_id for t in txs}) == 10
 
 
 class TestFinalPreambleBurst:

@@ -67,6 +67,27 @@ class TestQueryEvents:
     def test_ordering_on_strings_never_matches(self):
         assert query_events(self.EVENTS, "type>gw") == []
 
+    def test_by_type_and_identity(self):
+        trace = [
+            {"type": "manifest", "experiment": "x"},
+            {"type": "sim.run_start", "run": 1},
+            {"type": "gw.reception", "t": 0.0, "gw": 0, "net": 1, "node": 1,
+             "ctr": 0, "att": 0, "outcome": "no_decoder"},
+            {"type": "sim.run_end", "run": 1},
+            {"type": "sim.run_start", "run": 2},
+            {"type": "gw.lock_on", "t": 0.1, "gw": 0, "net": 1, "node": 1,
+             "ctr": 0, "att": 0},
+            {"type": "gw.reception", "t": 0.0, "gw": 0, "net": 1, "node": 1,
+             "ctr": 0, "att": 0, "outcome": "received"},
+            {"type": "gw.reception", "t": 2.0, "gw": 0, "net": 1, "node": 2,
+             "ctr": 0, "att": 1, "outcome": "decode_failed"},
+            {"type": "sim.run_end", "run": 2},
+        ]
+        assert len(query_events(trace, "type=gw.reception")) == 3
+        assert len(query_events(trace, "node=2")) == 1
+        assert len(query_events(trace, "type=gw.reception node=1")) == 2
+        assert query_events(trace, "gw=9") == []
+
 
 class TestParsePacketId:
     def test_three_and_four_part_forms(self):

@@ -5,7 +5,6 @@ import pytest
 from repro.obs.events import EventType
 from repro.obs.timeline import (
     decoder_occupancy,
-    filter_events,
     final_run_events,
     packet_timelines,
     render_occupancy,
@@ -108,15 +107,6 @@ class TestDecoderOccupancy:
     def test_rejects_bad_bucket(self):
         with pytest.raises(ValueError):
             decoder_occupancy([], bucket_s=0)
-
-
-class TestFilterEvents:
-    def test_by_type_and_identity(self):
-        trace = _two_run_trace()
-        assert len(filter_events(trace, etype=EventType.GW_RECEPTION)) == 3
-        assert len(filter_events(trace, node=2)) == 1
-        assert len(filter_events(trace, etype=EventType.GW_RECEPTION, node=1)) == 2
-        assert filter_events(trace, gateway=9) == []
 
 
 class TestSummarize:

@@ -29,7 +29,7 @@ class TestCapacityRuns:
             _one_run(
                 {
                     "networks": {"devices": 4},
-                    "metrics": {"breakdown": True, "outcomes": True},
+                    "metrics": {"breakdown": True},
                 }
             )
         )
@@ -37,7 +37,6 @@ class TestCapacityRuns:
             "offered", "prr", "decoder_intra", "decoder_inter",
             "channel_intra", "channel_inter", "other",
         }
-        assert "outcome_counts" in res
 
 
 class TestLoadRuns:
@@ -51,10 +50,7 @@ class TestLoadRuns:
     @pytest.mark.parametrize(
         "traffic",
         [
-            {"kind": "poisson", "users": 40, "mean_interval_s": 10.0},
-            {"kind": "periodic", "period_s": 5.0, "jitter_s": 0.5},
-            {"kind": "bursty", "burst_size": 2, "burst_interval_s": 5.0},
-            {"kind": "diurnal", "mean_interval_s": 4.0},
+            {"users": 40, "mean_interval_s": 10.0},
         ],
     )
     def test_each_traffic_model_runs(self, traffic):
@@ -63,53 +59,9 @@ class TestLoadRuns:
         assert res["offered"] > 0
         assert 0.0 <= res["prr"] <= 1.0
 
-    def test_capacity_burst_rejected_for_load(self):
-        with pytest.raises(SpecError, match="traffic.kind"):
-            execute_run(_one_run({"run": {"kind": "load"}}))
-
-    def test_fault_plan_routes_to_online_engine(self):
-        doc = self._base({"kind": "periodic", "period_s": 2.0})
-        doc["faults"] = {
-            "gateway_crashes": [
-                {"time_s": 2.0, "gateway_id": 0, "down_s": 4.0}
-            ]
-        }
-        faulty = execute_run(_one_run(doc))
-        clean = execute_run(_one_run(self._base({"kind": "periodic", "period_s": 2.0})))
-        assert faulty["offered"] == clean["offered"]
-        assert faulty["delivered"] <= clean["delivered"]
-
-
-class TestTopologyLayouts:
-    @pytest.mark.parametrize("layout", ["uniform", "clustered"])
-    def test_layouts_build(self, layout):
-        res = execute_run(
-            _one_run(
-                {
-                    "networks": {"devices": 6},
-                    "topology": {"device_layout": layout},
-                }
-            )
-        )
-        assert res["offered"] == 6
-
-    def test_imported_points(self):
-        res = execute_run(
-            _one_run(
-                {
-                    "networks": {"devices": 4},
-                    "topology": {
-                        "device_layout": "points",
-                        "points": [[10.0, 10.0], [20.0, 20.0]],
-                    },
-                }
-            )
-        )
-        assert res["offered"] == 4
-
 
 class TestAssignments:
-    @pytest.mark.parametrize("kind", ["orthogonal", "standard", "homogeneous", "random"])
+    @pytest.mark.parametrize("kind", ["orthogonal", "standard"])
     def test_assignment_kinds(self, kind):
         res = execute_run(
             _one_run({"networks": {"devices": 5}, "assignment": {"kind": kind}})
@@ -155,6 +107,12 @@ class TestCompiledRun:
         compiled = compile_run(run)
         assert compiled.run_id == run.run_id
         assert compiled.seed == 9
+
+    def test_list_entry_of_zero_devices_is_kept(self):
+        res = execute_run(
+            _one_run({"networks": {"count": 2, "devices": 8, "list": [{"devices": 0}, {}]}})
+        )
+        assert [row["offered"] for row in res["networks"]] == [0, 8]
 
     def test_multi_network_rows(self):
         spec = parse_spec(

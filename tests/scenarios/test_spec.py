@@ -1,5 +1,7 @@
 """Spec resolution edge cases: validation, merging, sweeps, hashing."""
 
+import re
+
 import pytest
 
 from repro.scenarios.spec import (
@@ -19,12 +21,32 @@ from repro.scenarios.spec import (
 
 class TestValidation:
     def test_unknown_key_is_path_qualified(self):
-        with pytest.raises(SpecError, match=r"traffic\.payload_byte\b"):
-            resolve_spec({"traffic": {"payload_byte": 10}})
+        with pytest.raises(SpecError, match=r"traffic\.window\b"):
+            resolve_spec({"traffic": {"window": 10}})
 
     def test_unknown_key_suggests_neighbor(self):
-        with pytest.raises(SpecError, match="payload_bytes"):
-            resolve_spec({"traffic": {"payload_byte": 10}})
+        with pytest.raises(SpecError, match="window_s"):
+            resolve_spec({"traffic": {"window": 10}})
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "topology",
+            "faults",
+            "chaos",
+            "run.seed_mode",
+            "region.spacing_hz",
+            "link.seed",
+            "traffic.kind",
+            "metrics.outcomes",
+        ],
+    )
+    def test_removed_fields_are_unknown_keys(self, path):
+        doc = {}
+        for key in reversed(path.split(".")):
+            doc = {key: doc}
+        with pytest.raises(SpecError, match=rf"^{re.escape(path)}: unknown key"):
+            resolve_spec(doc)
 
     def test_unknown_top_level_section(self):
         with pytest.raises(SpecError, match="trafic"):
@@ -60,7 +82,7 @@ class TestMerge:
         overrides = {
             "seed": 7,
             "networks": {"devices": 99, "list": [{"devices": 3}]},
-            "traffic": {"kind": "poisson", "users": 123},
+            "traffic": {"users": 123},
         }
         resolved = resolve_spec(overrides)
         # Every overridden leaf lands; every untouched default survives.
@@ -161,16 +183,53 @@ class TestSweep:
         assert len(runs) == 1
         assert runs[0].overrides == {}
 
-    def test_hashed_seed_mode_derives_from_digest(self):
-        runs_a = expand_sweep(
-            resolve_spec({"run": {"seed_mode": "hashed"}, "sweep": {"networks.devices": [2, 4]}})
-        )
-        runs_b = expand_sweep(
-            resolve_spec({"seed": 5, "run": {"seed_mode": "hashed"}, "sweep": {"networks.devices": [2, 4]}})
-        )
-        assert runs_a[0].seed != runs_a[1].seed
-        # A different spec digest re-derives every seed.
-        assert {r.seed for r in runs_a} != {r.seed for r in runs_b}
+
+class TestRunChecks:
+    """Each expanded run is checked before any run executes."""
+
+    TYPOS = pytest.mark.parametrize(
+        "path, good, typo",
+        [
+            ("region.band", "US915", "US951"),
+            ("assignment.kind", "standard", "standrad"),
+            ("assignment.split_channels", "contiguous", "contiguos"),
+            ("link.kind", "urban", "urbn"),
+        ],
+    )
+
+    def _rejects(self, text, path, typo):
+        spec = parse_spec(text, "typo.yaml")
+        with pytest.raises(SpecError, match=rf"^{re.escape(path)}: unknown .* {typo!r}"):
+            spec.runs()
+
+    @TYPOS
+    def test_direct_enum_typo_names_the_path(self, path, good, typo):
+        section, key = path.split(".")
+        self._rejects(f"{section}: {{{key}: {typo}}}\n", path, typo)
+
+    @TYPOS
+    def test_swept_enum_typo_names_the_path(self, path, good, typo):
+        self._rejects(f"sweep:\n  {path}: [{good}, {typo}]\n", path, typo)
+
+    @pytest.mark.parametrize(
+        "path, networks",
+        [
+            ("networks.gateways", {"gateways": 0}),
+            ("networks.list.0.gateways", {"list": [{"gateways": 0}]}),
+            ("networks.list.1.devices", {"count": 2, "list": [{}, {"devices": -1}]}),
+            ("networks.devices", {"devices": -1}),
+            ("networks.count", {"count": 0}),
+        ],
+        ids=["gateways", "list-gateways", "list-devices", "devices", "count"],
+    )
+    def test_impossible_network_shape_names_the_path(self, path, networks):
+        with pytest.raises(SpecError, match=rf"^{re.escape(path)}: expected an integer"):
+            expand_sweep(resolve_spec({"networks": networks}))
+
+    def test_swept_gateway_count_is_checked(self):
+        doc = {"sweep": {"networks.gateways": [1, 0]}}
+        with pytest.raises(SpecError, match=r"^networks\.gateways: "):
+            expand_sweep(resolve_spec(doc))
 
 
 class TestHashing:

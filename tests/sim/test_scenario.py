@@ -7,7 +7,6 @@ from repro.sim.scenario import (
     Network,
     all_combos,
     assign_orthogonal_combos,
-    assign_plan_homogeneous,
     assign_random_channels,
     assign_tier_by_reach,
     build_network,
@@ -52,20 +51,6 @@ class TestCombos:
         assign_orthogonal_combos(net.devices, grid_16.channels())
         cells = [(d.channel.center_hz, d.dr) for d in net.devices]
         assert len(set(cells)) == 48  # two duplicates
-
-
-class TestHomogeneous:
-    def test_all_gateways_identical(self, plan_16, grid_16):
-        net = build_network(1, 3, 6, grid_16.channels(), seed=0)
-        assign_plan_homogeneous(net, plan_16, seed=1)
-        configs = {g.channels for g in net.gateways}
-        assert len(configs) == 1
-
-    def test_devices_within_plan(self, plan_16, grid_16):
-        net = build_network(1, 3, 30, grid_16.channels(), seed=0)
-        assign_plan_homogeneous(net, plan_16, seed=1)
-        for dev in net.devices:
-            assert dev.channel in plan_16
 
 
 class TestRandomChannels:

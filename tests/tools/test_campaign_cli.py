@@ -57,6 +57,22 @@ class TestCampaignCli:
         capsys.readouterr()
         assert code == 2
 
+    def test_enum_typo_is_exit_2_before_any_run(self, tmp_path, capsys):
+        bad = tmp_path / "typo.yaml"
+        bad.write_text(
+            "run: {kind: load}\n"
+            "assignment: {kind: standrad}\n"
+            "traffic: {window_s: 2.0}\n"
+            "sweep:\n"
+            "  traffic.users: [10, 20, 30]\n"
+        )
+        out = tmp_path / "o"
+        code = main(["campaign", "run", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "assignment.kind: unknown kind 'standrad'" in err
+        assert not out.exists()
+
     def test_missing_dir_is_exit_2(self, tmp_path, capsys):
         code = main(["campaign", "status", str(tmp_path / "nope")])
         capsys.readouterr()

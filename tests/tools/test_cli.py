@@ -133,12 +133,12 @@ class TestCliObservability:
         assert summary["events"] > 0
         assert sum(summary["outcome_counts"].values()) > 0
 
-    def test_trace_filter(self, tmp_path, capsys):
+    def test_trace_query(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         assert main(["run", "fig2a", "--trace", str(trace)]) == 0
         capsys.readouterr()
         assert main(
-            ["trace", "filter", str(trace), "--type", "decoder.grant",
+            ["trace", "query", str(trace), "type=decoder.grant",
              "--limit", "5"]
         ) == 0
         out_lines = capsys.readouterr().out.strip().splitlines()
