@@ -13,16 +13,18 @@ decoder-pool resizes and backhaul faults.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterator,
     List,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
+    Union,
     cast,
 )
 
@@ -74,16 +76,44 @@ def _row_start_s(row: _Row) -> float:
     return row[1]
 
 
-class Hearing(NamedTuple):
-    """An interference index as one gateway hears it.
+def _run_order(
+    transmissions: Sequence[Transmission],
+) -> Tuple[List[int], List[int], List[Channel]]:
+    """(arrival order, channel ids, distinct channels) of a run's packets.
 
-    ``rssi_dbm[p]`` is the RSSI at this gateway of the index's packet at
-    position ``p``, or ``None`` when the gateway does not hear it (the
-    medium pruned it below the gateway's cutoff).
+    The order is stable by ``(lock_on_s, network_id, node_id)``, so
+    restricted to any subset it is that subset's own stable order.
+    """
+    keys = [(tx.lock_on_s, tx.network_id, tx.node_id) for tx in transmissions]
+    ids: Dict[Channel, int] = {}
+    channel_ids = [ids.setdefault(tx.channel, len(ids)) for tx in transmissions]
+    return sorted(range(len(keys)), key=keys.__getitem__), channel_ids, list(ids)
+
+
+@dataclass(frozen=True)
+class Hearing:
+    """One gateway's view of a run: ``len()`` counts the packets it hears
+    and iterating yields their observations, in run order.
+
+    ``rssi_dbm[p]`` is packet ``p``'s RSSI here, ``None`` when pruned.
+    ``arrivals`` lists the heard positions in arrival order and
+    ``channel_ids[p]`` indexes packet ``p``'s channel in ``channels``.
     """
 
-    index: _TimeIndex
+    transmissions: Sequence[Transmission]
     rssi_dbm: List[Optional[float]]
+    arrivals: List[int]
+    channel_ids: List[int]
+    channels: List[Channel]
+    index: _TimeIndex  # the run's interference index
+
+    def __len__(self) -> int:
+        return len(self.arrivals)
+
+    def __iter__(self) -> Iterator[Observation]:
+        for tx, rssi in zip(self.transmissions, self.rssi_dbm):
+            if rssi is not None:
+                yield Observation(tx, rssi)
 
 
 class Outcome(Enum):
@@ -99,9 +129,9 @@ class Outcome(Enum):
     BACKHAUL_LOST = "backhaul_lost"        # decoded, lost gateway->server
 
 
-@dataclass(frozen=True)
-class GatewayReception:
-    """Per-packet reception record at one gateway."""
+class GatewayReception(NamedTuple):
+    """Per-packet reception record at one gateway (a named tuple: the
+    reception loop builds one per observation)."""
 
     gateway_id: int
     transmission: Transmission
@@ -257,9 +287,11 @@ class Gateway:
     @staticmethod
     def _hearing(observations: Sequence[Observation]) -> Hearing:
         """A batch heard on its own: indexed alone, every packet audible."""
+        txs = [obs.transmission for obs in observations]
+        order, channel_ids, channels = _run_order(txs)
         return Hearing(
-            Gateway._build_time_index([obs.transmission for obs in observations]),
-            [obs.rssi_dbm for obs in observations],
+            txs, [obs.rssi_dbm for obs in observations], order, channel_ids,
+            channels, Gateway._build_time_index(txs),
         )
 
     def _interferers_for(
@@ -283,7 +315,8 @@ class Gateway:
         channel = me.channel
         me_low, me_high = channel.low_hz, channel.high_hz
         me_net = me.network_id
-        (buckets, reach), heard = hearing
+        buckets, reach = hearing.index
+        heard = hearing.rssi_dbm
         center_key = int(channel.center_hz // INDEX_BUCKET_HZ)
         interferers: List[Interferer] = []
         for key in range(center_key - reach, center_key + reach + 1):
@@ -312,8 +345,7 @@ class Gateway:
 
     def receive(
         self,
-        observations: Sequence[Observation],
-        hearing: Optional[Hearing] = None,
+        observations: Union[Hearing, Sequence[Observation]],
         timeline: Sequence[TimelineEvent] = (),
         fault_plan: Optional[FaultPlan] = None,
     ) -> List[GatewayReception]:
@@ -327,19 +359,18 @@ class Gateway:
         Packets are served one at a time in ``(lock_on_s, network_id,
         node_id)`` order, the hardware dispatcher's arrival order.  For
         each, the timeline events due by its lock-on apply first, then
-        detection, FCFS admission (:meth:`FcfsDispatcher.dispatch`),
-        decoding, the sync-word filter and the backhaul.  Reception
-        events are emitted in the same order once the whole timeline
-        has run, because a later reboot can still turn an in-flight
-        reception into GATEWAY_OFFLINE.  The decoder pool starts empty
-        at the model's full size.
+        the front end, FCFS admission (:meth:`FcfsDispatcher.dispatch`),
+        decoding, the sync-word filter and the backhaul.  A packet no
+        receive channel passes is CHANNEL_MISMATCH without a
+        :func:`detect` call.  Reception events are emitted in the same order once the whole
+        timeline has run, because a later reboot can still turn an
+        in-flight reception into GATEWAY_OFFLINE.  The decoder pool
+        starts empty at the model's full size.
 
         Args:
-            observations: The batch.
-            hearing: The run's shared interference index as this gateway
-                hears it (:meth:`repro.sim.medium.Medium.hearing`); it
-                must hear exactly ``observations``.  By default the
-                batch is indexed on its own.
+            observations: The batch: this gateway's view of a run
+                (:meth:`repro.sim.simulator.Simulator.observations_at`),
+                or a plain sequence of observations, indexed on its own.
             timeline: This gateway's events in time order (empty for a
                 static window).  Events after the last lock-on are not
                 applied.
@@ -353,8 +384,10 @@ class Gateway:
         pool = self.pool
         pool.reset()
         pool.resize(self.model.decoders)  # undo an earlier degradation
-        if hearing is None:
-            hearing = self._hearing(observations)
+        view = observations
+        if not isinstance(view, Hearing):
+            view = self._hearing(view)
+        txs, channel_ids = view.transmissions, view.channel_ids
         dispatch = FcfsDispatcher(pool).dispatch
         gw_id = self.gateway_id
         noise_figure = self.noise_figure_db
@@ -377,18 +410,16 @@ class Gateway:
             backhaul = (fault_plan, fault_plan.rng(f"backhaul:gw{gw_id}"))
 
         channels = self._channels
+        # The front end's match for each of the run's packet channels.
+        matches = [match_rx_channel(c, channels) for c in view.channels]
         offline_until = float("-inf")
         pending, n_events = 0, len(timeline)
-        txs = [obs.transmission for obs in observations]
-        keys = [(tx.lock_on_s, tx.network_id, tx.node_id) for tx in txs]
-        order = sorted(range(len(txs)), key=keys.__getitem__)
         records: List[Optional[GatewayReception]] = [None] * len(txs)
-        # (end_s, index, record) of every decoded reception since the
+        # (end_s, position, record) of every decoded reception since the
         # last reboot: each entry is checked by at most one reboot.
         in_flight: List[Tuple[float, int, GatewayReception]] = []
-        for i in order:
-            obs = observations[i]
-            tx = txs[i]
+        for p in view.arrivals:
+            tx = txs[p]
             now = tx.lock_on_s
             if health is not None:
                 # Advance the gateway's sim clock so windowed aggregates
@@ -404,6 +435,7 @@ class Gateway:
                     # breaks overlap ties); the gateway stores it sorted.
                     channels = RxChannels(ev.channels)
                     self.configure(channels)
+                    matches = [match_rx_channel(c, channels) for c in view.channels]
                 if ev.decoders is not None:
                     pool.resize(ev.decoders)
                     if rec_trace is not None:
@@ -430,18 +462,14 @@ class Gateway:
                 # metrics attribution stays honest.
                 for end_s, j, record in in_flight:
                     if end_s > ev.time_s:
-                        # Justified allocation: this loop runs once per
-                        # outage (not per packet) and the reception
-                        # records are frozen dataclasses by contract.
-                        records[j] = replace(  # repro: noqa[PERF001]
-                            record,
+                        records[j] = record._replace(
                             outcome=Outcome.GATEWAY_OFFLINE,
                             backhaul_delay_s=0.0,
                         )
                 in_flight = []
 
             if now < offline_until:
-                records[i] = GatewayReception(
+                records[p] = GatewayReception(
                     gateway_id=gw_id,
                     transmission=tx,
                     outcome=Outcome.GATEWAY_OFFLINE,
@@ -451,16 +479,16 @@ class Gateway:
             # Each stage's phase also covers its direct outcome: the
             # record of a packet the stage ends, or the trace event.
             t0 = st_detect.begin() if st_detect is not None else None
-            det = detect(obs, channels, noise_figure_db=noise_figure)
+            det: Optional[Detection] = None
+            if matches[channel_ids[p]] is None:
+                outcome = Outcome.CHANNEL_MISMATCH
+            else:
+                obs = Observation(tx, cast(float, view.rssi_dbm[p]))
+                det = detect(obs, channels, noise_figure_db=noise_figure)
+                outcome = Outcome.BELOW_SENSITIVITY
             if det is None:
-                records[i] = GatewayReception(
-                    gateway_id=gw_id,
-                    transmission=tx,
-                    outcome=(
-                        Outcome.CHANNEL_MISMATCH
-                        if match_rx_channel(tx.channel, channels) is None
-                        else Outcome.BELOW_SENSITIVITY
-                    ),
+                records[p] = GatewayReception(
+                    gateway_id=gw_id, transmission=tx, outcome=outcome
                 )
             elif rec_trace is not None:
                 rec_trace.emit(
@@ -481,7 +509,7 @@ class Gateway:
             t0 = st_dispatch.begin() if st_dispatch is not None else None
             admission = dispatch((det,))[0]
             if admission.lease is None:
-                records[i] = GatewayReception(
+                records[p] = GatewayReception(
                     gateway_id=gw_id,
                     transmission=tx,
                     outcome=Outcome.NO_DECODER,
@@ -508,7 +536,7 @@ class Gateway:
                     noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure),
                     tx.sf,
                     det.rx_channel,
-                    self._interferers_for(det, hearing),
+                    self._interferers_for(det, view),
                 )
             backhaul_delay_s = 0.0
             if not ok:
@@ -528,17 +556,17 @@ class Gateway:
                 lock_on_s=det.lock_on_s,
                 backhaul_delay_s=backhaul_delay_s,
             )
-            records[i] = record
-            in_flight.append((tx.end_s, i, record))
+            records[p] = record
+            in_flight.append((tx.end_s, p, record))
             if st_decode is not None:
                 st_decode.end(t0)
 
         done = cast(List[GatewayReception], records)
         metrics = _obs.METRICS
-        with phase_timed(Phase.EMIT, items=len(done)):
+        with phase_timed(Phase.EMIT, items=len(view)):
             if rec_trace is not None or metrics is not None:
-                for i in order:
-                    record = done[i]
+                for p in view.arrivals:
+                    record = done[p]
                     tx = record.transmission
                     outcome_value = record.outcome.value
                     if rec_trace is not None:
@@ -558,7 +586,7 @@ class Gateway:
                             "per-gateway reception outcomes",
                             outcome=outcome_value,
                         ).inc()
-        return done
+        return [record for record in records if record is not None]
 
     def _backhaul(
         self, tx: Transmission, fault_plan: FaultPlan, rng: Random

@@ -6,16 +6,19 @@ once, not once per gateway:
 
 * **RSSI rows.**  A gateways x devices path-loss matrix; each
   gateway's RSSI of every packet is its row gathered by the packets'
-  devices.  A gateway's observation set is that row, pruned below its
+  devices.  A gateway hears the packets of its row at or above its
   cutoff.
+* **Arrival order and channel ids.**  One stable sort of the run's
+  packets, restricted to what each gateway hears, and one numbering
+  of the run's distinct packet channels.
 * **Interference index.**  One
   :meth:`~repro.gateway.gateway.Gateway._build_time_index` over the
   run's transmissions.  Its rows carry no RSSI; each gateway reads it
-  through its own RSSI row (:meth:`Medium.hearing`), skipping what it
-  does not hear.
+  through its own RSSI row, skipping what it does not hear.
 
-Both are filled on first use, so a medium asked only for one gateway's
-observations never builds the index.
+:meth:`Medium.hearing` hands a gateway all of this as its
+:class:`~repro.gateway.gateway.Hearing`.  The matrix and the run-level
+parts are filled on the first call.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gateway.gateway import Gateway, Hearing, _TimeIndex
+from ..gateway.gateway import Gateway, Hearing, _run_order, _TimeIndex
 from ..node.device import EndDevice
+from ..phy.channels import Channel
 from ..phy.link import Position, noise_floor_dbm
-from ..types import Observation, Transmission
+from ..types import Transmission
 from .topology import LinkBudget
 
 __all__ = ["Medium", "PRUNE_MARGIN_DB"]
@@ -41,6 +45,8 @@ PRUNE_MARGIN_DB = 30.0
 # (path loss, gateways x devices; each packet's device column; each
 # packet's transmit power).
 _Links = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# (arrival order, channel ids, distinct channels, interference index).
+_Run = Tuple[np.ndarray, List[int], List[Channel], _TimeIndex]
 
 
 class Medium:
@@ -69,7 +75,7 @@ class Medium:
         self.transmissions = transmissions
         self._rows = {gw.gateway_id: i for i, gw in enumerate(self.gateways)}
         self._links: Optional[_Links] = None
-        self._index: Optional[_TimeIndex] = None
+        self._run: Optional[_Run] = None
 
     def _fill_links(self) -> _Links:
         """The path-loss matrix, one draw per (device, gateway) link.
@@ -126,27 +132,29 @@ class Medium:
         loss, columns, power = self._links
         return power + 0.0 - loss[self._rows[gateway.gateway_id], columns]
 
-    def _row(self, gateway: Gateway) -> Tuple[np.ndarray, np.ndarray]:
-        """(the gateway's RSSI row, which packets it hears)."""
+    def hearing(self, gateway: Gateway) -> Hearing:
+        """``gateway``'s view of the run: it hears the packets at or above
+        ``noise_floor_dbm(125 kHz, NF) - PRUNE_MARGIN_DB``.
+
+        Raises:
+            KeyError: for a transmission from an unknown device.
+        """
         row = self.rssi_dbm(gateway)
-        cutoff = (
+        if self._run is None:
+            txs = self.transmissions
+            run_order, channel_ids, channels = _run_order(txs)
+            self._run = (
+                np.array(run_order, dtype=np.intp), channel_ids, channels,
+                Gateway._build_time_index(txs),
+            )
+        order, channel_ids, channels, index = self._run
+        heard = row >= (
             noise_floor_dbm(125_000.0, gateway.noise_figure_db) - PRUNE_MARGIN_DB
         )
-        return row, row >= cutoff
-
-    def observations(self, gateway: Gateway) -> List[Observation]:
-        """The packets ``gateway`` hears, in run order, with their RSSI."""
-        row, heard = self._row(gateway)
-        rssi: List[float] = row.tolist()
-        txs = self.transmissions
-        return [Observation(txs[p], rssi[p]) for p in np.flatnonzero(heard).tolist()]
-
-    def hearing(self, gateway: Gateway) -> Hearing:
-        """The run's interference index as ``gateway`` hears it."""
-        if self._index is None:
-            self._index = Gateway._build_time_index(self.transmissions)
-        row, heard = self._row(gateway)
         rssi: List[Optional[float]] = row.tolist()
         for p in np.flatnonzero(~heard).tolist():
             rssi[p] = None
-        return Hearing(self._index, rssi)
+        return Hearing(
+            self.transmissions, rssi, order[heard[order]].tolist(),
+            channel_ids, channels, index,
+        )

@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..gateway.gateway import Gateway, GatewayReception, Outcome, TimelineEvent
+from ..gateway.gateway import (
+    Gateway, GatewayReception, Hearing, Outcome, TimelineEvent,
+)
 from ..node.device import EndDevice
 from ..obs import runtime as _obs
 from ..obs.events import EventType
 from ..obs.perf import Phase, phase_timed
-from ..types import Observation, Transmission
+from ..types import Transmission
 from .medium import Medium
 from .topology import LinkBudget
 
@@ -153,8 +155,9 @@ class Simulator:
         gateway: Gateway,
         transmissions: Sequence[Transmission],
         medium: Optional[Medium] = None,
-    ) -> List[Observation]:
-        """The audible observation set at one gateway (pruned).
+    ) -> Hearing:
+        """The audible observation set at one gateway (pruned), as its
+        whole view of the run (:meth:`Medium.hearing`).
 
         ``medium`` is the run's medium over ``transmissions`` when the
         caller already has it; otherwise one is made for this gateway.
@@ -164,7 +167,7 @@ class Simulator:
         """
         if medium is None:
             medium = Medium(self.link, self.devices, [gateway], transmissions)
-        return medium.observations(gateway)
+        return medium.hearing(gateway)
 
     def run(self, transmissions: Sequence[Transmission]) -> SimulationResult:
         """Simulate one window of traffic across all gateways."""
@@ -208,9 +211,9 @@ class Simulator:
         medium = self.medium(result.transmissions)
         for gw in self.gateways:
             with phase_timed(Phase.OBSERVE, items=len(transmissions)):
-                obs = self.observations_at(gw, transmissions, medium)
+                view = self.observations_at(gw, transmissions, medium)
             timeline = timelines.get(gw.gateway_id, ()) if timelines else ()
-            records = gw.receive(obs, medium.hearing(gw), timeline, fault_plan)
+            records = gw.receive(view, timeline, fault_plan)
             with phase_timed(Phase.COLLECT, items=len(records)):
                 for record in records:
                     slots[id(record.transmission)].append(record)

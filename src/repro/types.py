@@ -1,9 +1,9 @@
 """Shared core types: transmissions and per-gateway observations.
 
 These types sit below every other package: nodes emit
-:class:`Transmission` objects, the simulation medium turns them into
-per-gateway :class:`Observation` objects (attaching link RSSI/SNR), and
-the gateway pipeline consumes observations to produce receptions.
+:class:`Transmission` objects, the simulation medium attaches each
+gateway's link RSSI to them, and the gateway pipeline turns what it
+hears (as :class:`Observation` objects) into receptions.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ import math
 import pytest
 
 from repro.faults import BackhaulFault, FaultPlan, GatewayCrash
-from repro.gateway.gateway import Outcome, TimelineEvent
+from repro.gateway.detector import detect, match_rx_channel
+from repro.gateway.gateway import Gateway, GatewayReception, Outcome, TimelineEvent
 from repro.obs import observe
-from repro.phy.lora import DataRate
+from repro.phy.link import Position, noise_floor_dbm
+from repro.phy.lora import DataRate, SpreadingFactor
 from repro.sim.engine import OnlineSimulator
 from repro.sim.scenario import build_network
+from repro.types import Observation, Transmission
 
 
 @pytest.fixture
@@ -138,7 +141,9 @@ def test_receive_is_the_online_loop_under_crash_and_backhaul(net, link):
         TimelineEvent(time_s=crash.time_s, outage_s=crash.down_s, reboot=True)
     ]
     with observe(metrics=False) as direct_session:
-        records = gw.receive(_observe(net, link, txs), None, timeline, plan)
+        records = gw.receive(
+            _observe(net, link, txs), timeline=timeline, fault_plan=plan
+        )
 
     assert records == [result.records_for(tx)[0] for tx in txs]
     assert _events(direct_session) == _events(online_session)
@@ -151,3 +156,86 @@ def test_receive_is_the_online_loop_under_crash_and_backhaul(net, link):
     assert records[0].outcome is Outcome.GATEWAY_OFFLINE
     assert records[0].lock_on_s is not None  # aborted in flight
     assert any(r.backhaul_delay_s > 0 for r in records)
+
+
+def _front_end_reference(gw, observations, switch, before):
+    """Each packet classified with the public front end under the channels
+    in force at its lock-on; the burst's packets never overlap in time,
+    so every detected packet is received unless the switch's reboot
+    catches it on air."""
+    after = switch.channels
+    out = []
+    for obs in observations:
+        tx = obs.transmission
+        lock = tx.lock_on_s
+        if switch.time_s <= lock < switch.time_s + switch.outage_s:
+            out.append(GatewayReception(gw.gateway_id, tx, Outcome.GATEWAY_OFFLINE))
+            continue
+        channels = before if lock < switch.time_s else after
+        det = detect(obs, channels, noise_figure_db=gw.noise_figure_db)
+        if det is None:
+            outcome = (
+                Outcome.CHANNEL_MISMATCH
+                if match_rx_channel(tx.channel, channels) is None
+                else Outcome.BELOW_SENSITIVITY
+            )
+            out.append(GatewayReception(gw.gateway_id, tx, outcome))
+            continue
+        aborted = lock < switch.time_s < tx.end_s
+        out.append(
+            GatewayReception(
+                gw.gateway_id,
+                tx,
+                Outcome.GATEWAY_OFFLINE if aborted else Outcome.RECEIVED,
+                rx_channel=det.rx_channel,
+                snr_db=det.snr_db,
+                lock_on_s=det.lock_on_s,
+            )
+        )
+    return out
+
+
+def test_mid_burst_channel_switch_matches_a_per_packet_front_end(grid_48):
+    # The switch moves the gateway from channels 0-7 to 4-11 while the
+    # burst cycles through channels 0-11: 0-3 go from heard to
+    # truncated, 8-11 from truncated to heard.
+    chans = grid_48.channels()[:12]
+    before, after = tuple(chans[:8]), tuple(chans[4:12])
+    gw = Gateway(0, 1, Position(0.0, 0.0), before)
+    noise = noise_floor_dbm(125_000.0, gw.noise_figure_db)
+    txs = [
+        Transmission(
+            node_id=i, network_id=1, channel=chans[i % 12],
+            sf=SpreadingFactor.SF7, start_s=0.1 * i,
+        )
+        for i in range(36)
+    ]
+    # Every fifth packet is below the SF7 detection threshold.
+    observations = [
+        Observation(tx, noise - 12.0 if i % 5 == 4 else noise + 10.0)
+        for i, tx in enumerate(txs)
+    ]
+    # Served in arrival order whatever the input order.
+    observations.reverse()
+    on_air = txs[18]  # channel 6, heard before and after the switch
+    switch = TimelineEvent(
+        time_s=on_air.lock_on_s + 0.005, channels=after, outage_s=0.25, reboot=True
+    )
+    assert switch.time_s < on_air.end_s
+
+    records = gw.receive(observations, timeline=[switch])
+
+    want = _front_end_reference(gw, observations, switch, before)
+    assert records == want
+    assert gw.channels == after
+    fates = {
+        (r.transmission.channel, r.transmission.start_s > switch.time_s, r.outcome)
+        for r in want
+    }
+    for late in (False, True):
+        off, on = Outcome.CHANNEL_MISMATCH, Outcome.RECEIVED
+        assert (chans[0], late, off if late else on) in fates
+        assert (chans[8], late, on if late else off) in fates
+    outcomes = [r.outcome for r in want]
+    assert outcomes.count(Outcome.GATEWAY_OFFLINE) == 3  # one aborted, two dark
+    assert Outcome.BELOW_SENSITIVITY in outcomes

@@ -421,7 +421,7 @@ def test_run_matches_each_gateway_receiving_its_own_batch(seed, monkeypatch):
     online = sim.run_online(txs)
     start(seen, "own")
     for gw in gws:
-        alone = gw.receive(heard[gw.gateway_id])
+        alone = gw.receive(list(heard[gw.gateway_id]))  # indexed alone
         in_run = [
             r for tx in txs for r in result.records_for(tx)
             if r.gateway_id == gw.gateway_id

@@ -54,6 +54,7 @@ def test_observations_equal_rssi_dbm_bit_for_bit(plan_16, seed):
     for gw in net.gateways:
         want = _reference(Simulator(net.gateways, net.devices), gw, txs)
         for got in (sim.observations_at(gw, txs), sim.observations_at(gw, txs, medium)):
+            assert len(got) == len(want)
             assert [o.transmission for o in got] == [o.transmission for o in want]
             assert [o.rssi_dbm.hex() for o in got] == [o.rssi_dbm.hex() for o in want]
             assert all(type(o.rssi_dbm) is float for o in got)
@@ -76,8 +77,10 @@ def test_a_packet_exactly_at_the_cutoff_is_kept(plan_16):
     txs = [dataclasses.replace(d.transmit(0.0), tx_power_dbm=0.0) for d in net.devices]
     sim = Simulator(net.gateways, net.devices, link=LinkBudget(path_loss=Table()))
     obs = sim.observations_at(gw, txs)
-    assert [o.transmission for o in obs] == txs[:1]
-    assert obs[0].rssi_dbm == cutoff
+    assert len(obs) == 1
+    (kept,) = obs
+    assert kept.transmission is txs[0]
+    assert kept.rssi_dbm == cutoff
 
 
 def test_hearing_marks_pruned_packets(plan_16):
@@ -85,16 +88,38 @@ def test_hearing_marks_pruned_packets(plan_16):
     txs = _traffic(net, 0)
     sim = Simulator(net.gateways, net.devices)
     medium = sim.medium(txs)
+    first = medium.hearing(net.gateways[0])
     for gw in net.gateways:
-        heard = {id(o.transmission): o.rssi_dbm for o in medium.observations(gw)}
+        want = _reference(Simulator(net.gateways, net.devices), gw, txs)
         hearing = medium.hearing(gw)
-        assert hearing.index is medium.hearing(net.gateways[0]).index
-        assert [id(tx) in heard for tx in txs] == [
-            r is not None for r in hearing.rssi_dbm
-        ]
-        assert [heard[id(tx)] for tx in txs if id(tx) in heard] == [
-            r for r in hearing.rssi_dbm if r is not None
-        ]
+        for shared in ("transmissions", "index", "channel_ids", "channels"):
+            assert getattr(hearing, shared) is getattr(first, shared)
+        heard = [p for p, r in enumerate(hearing.rssi_dbm) if r is not None]
+        assert [txs[p] for p in heard] == [o.transmission for o in want]
+        assert [hearing.rssi_dbm[p] for p in heard] == [o.rssi_dbm for o in want]
+        assert hearing.arrivals == sorted(
+            heard,
+            key=lambda p: (txs[p].lock_on_s, txs[p].network_id, txs[p].node_id),
+        )
+    assert [first.channels[c] for c in first.channel_ids] == [tx.channel for tx in txs]
+    assert len(set(first.channels)) == len(first.channels)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_view_counts_the_records_its_gateway_adds(plan_16, seed):
+    # The traced sim.observe kept count is len() of the view.
+    net = _spread_network(plan_16, seed)
+    txs = _traffic(net, seed)
+    sim = Simulator(net.gateways, net.devices)
+    result = sim.run(txs)
+    records = [r for recs in result.receptions.values() for r in recs]
+    heard = 0
+    for gw in net.gateways:
+        view = sim.observations_at(gw, txs)
+        assert len(view) == sum(r.gateway_id == gw.gateway_id for r in records)
+        assert len(list(view)) == len(view)
+        heard += len(view)
+    assert 0 < heard < len(txs) * len(net.gateways)
 
 
 def test_rows_fill_through_the_link_cache(plan_16):

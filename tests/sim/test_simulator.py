@@ -95,7 +95,8 @@ class TestDelivery:
         obs = sim.observations_at(
             net.gateways[0], [far.transmit(0.0)]
         )
-        assert obs == []
+        assert len(obs) == 0
+        assert list(obs) == []
 
     def test_deterministic(self, compact_network, link):
         sim = Simulator(
