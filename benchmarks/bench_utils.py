@@ -28,8 +28,8 @@ def run_once(benchmark, fn, health=False, flight=False, **kwargs):
     """Time one full experiment run (no warmup: these are minutes-long).
 
     ``health=True`` additionally attaches a streaming
-    :class:`~repro.obs.health.HealthMonitor` to the session (the
-    observatory's overhead benchmark compares the two modes);
+    :class:`~repro.obs.health.HealthMonitor` to the session (pass a
+    monitor instance to read its verdict after the run);
     ``flight`` attaches a black-box
     :class:`~repro.obs.flight.FlightRecorder` the same way.
     """

@@ -165,7 +165,11 @@ class MasterServer:
 
         Closing live operator connections is what makes this a faithful
         Master crash: clients mid-exchange see a dead socket, exactly
-        what their retry/reconnect path is built for.
+        what their retry/reconnect path is built for.  The accept
+        thread is joined first: a thread still inside ``accept()`` keeps
+        the port listening after the socket is closed, so a client that
+        sees its connection die could find the port taken when it
+        restarts a Master there.
         """
         self._stop.set()
         try:
@@ -174,6 +178,8 @@ class MasterServer:
             poke.close()
         except OSError:
             pass
+        if self._started and threading.current_thread() is not self._thread:
+            self._thread.join(timeout=2.0)
         self._sock.close()
         with self._conns_lock:
             conns = list(self._conns)
@@ -182,8 +188,6 @@ class MasterServer:
                 conn.close()
             except OSError:
                 pass
-        if self._started and threading.current_thread() is not self._thread:
-            self._thread.join(timeout=2.0)
         if self._exporter is not None:
             self._exporter.close()
             self._exporter = None

@@ -34,7 +34,6 @@ from ..faults import (
 )
 from ..netserver.server import NetworkServer
 from ..node.traffic import duty_cycle_schedule
-from ..obs import runtime as _obs
 from ..phy.regions import TESTBED_16
 from ..sim.engine import OnlineSimulator
 from ..sim.metrics import (
@@ -225,20 +224,5 @@ def run_chaos(
         ),
         "degraded_time_s": degraded_time_s(plan, WINDOW_S),
         "unique_frames_delivered": len(netserver.received_node_ids()),
-        **_health_summary(),
     }
 
-
-def _health_summary() -> Dict[str, object]:
-    """Health-observatory view of the run, when one is active.
-
-    With ``observe(health=True)`` the chaos faults are expected to fire
-    alerts inside their windows (gateway crash -> ``gateway_offline``,
-    backhaul fault -> ``backhaul_loss``, Master outage ->
-    ``master_unreachable``); the run result carries the evidence.
-    """
-    health = _obs.HEALTH
-    if health is None:
-        return {}
-    health.evaluate()
-    return {"health": health.healthz(), "alerts": health.alerts()}

@@ -392,7 +392,6 @@ class Gateway:
         gw_id = self.gateway_id
         noise_figure = self.noise_figure_db
         rec_trace = _obs.TRACE
-        health = _obs.HEALTH
         # Per-packet phase stats are hoisted out of the loop: with the
         # probe off each hook is one ``is not None`` check.
         probe = _obs.PERF
@@ -421,10 +420,6 @@ class Gateway:
         for p in view.arrivals:
             tx = txs[p]
             now = tx.lock_on_s
-            if health is not None:
-                # Advance the gateway's sim clock so windowed aggregates
-                # prune and alert rules tick even through quiet spells.
-                health.advance_gateway(gw_id, now)
             while pending < n_events and timeline[pending].time_s <= now:
                 ev = timeline[pending]
                 pending += 1

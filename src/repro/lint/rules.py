@@ -268,7 +268,7 @@ def det003_float_time_equality(ctx: LintContext) -> Iterable[Finding]:
 # ---------------------------------------------------------------------------
 # OBS001 — obs runtime hook slots must be None-guarded at every use
 
-_OBS_SLOTS = {"TRACE", "METRICS", "HEALTH", "PERF", "FLIGHT"}
+_OBS_SLOTS = {"TRACE", "METRICS", "PERF"}
 _RUNTIME_MODULE_SUFFIXES = ("obs.runtime", "repro.obs.runtime")
 
 

@@ -11,6 +11,9 @@ behavioural impact:
   Master retries, GA telemetry) exported as schema-versioned JSONL.
 * :class:`MetricsRegistry` — counters / gauges / histograms with
   Prometheus-text and JSON export.
+* :class:`HealthMonitor` and :class:`FlightRecorder` — listeners on the
+  recorder's event stream, their only input: a live report equals the
+  replay of the run's own trace.
 * :func:`observe` — scoped activation; every hook in the simulation
   stack is a no-op unless a session is active.
 
@@ -148,12 +151,15 @@ def observe(
 
     ``health`` enables the streaming :class:`HealthMonitor` (pass
     ``True`` for default alert rules, or a configured monitor).  The
-    monitor subscribes to the event stream, so enabling health with
-    ``trace=False`` still creates a count-only recorder (``max_events=0``
-    — events feed the listeners but are not stored).  ``flight``
-    likewise enables the bounded :class:`FlightRecorder` black box
-    (pass ``True`` for defaults, or a configured recorder); it too
-    rides the listener bus, so it works with full tracing off.
+    monitor is a recorder listener and the event stream is its only
+    input, so it reports what :meth:`HealthMonitor.replay` of the same
+    trace reports.  Enabling health with ``trace=False`` still creates
+    a count-only recorder (``max_events=0`` — events feed the listeners
+    but are not stored).  ``flight`` likewise enables the bounded
+    :class:`FlightRecorder` black box (pass ``True`` for defaults, or a
+    configured recorder); it too rides the listener bus, so it works
+    with full tracing off.  Neither has a runtime slot: read them from
+    the session.
     """
     if runtime.session_active():
         raise RuntimeError("an observability session is already active")
@@ -182,7 +188,7 @@ def observe(
         health=monitor,
         flight=black_box,
     )
-    runtime.activate(session.recorder, session.metrics, monitor, black_box)
+    runtime.activate(session.recorder, session.metrics)
     try:
         yield session
     finally:

@@ -543,10 +543,11 @@ class HealthMonitor:
 
     Feed it the trace-event stream — as a
     :class:`~repro.obs.recorder.TraceRecorder` listener (live), or via
-    :meth:`replay` over a loaded JSONL trace (offline).  Rules are
-    evaluated whenever a gateway's sim clock crosses a ``tick_s``
-    boundary, and at explicit :meth:`evaluate` calls (the simulators
-    call it at run end).
+    :meth:`replay` over a loaded JSONL trace (offline).  The events are
+    its only input, so both give the same report.  A gateway's sim clock
+    is the latest event time seen for it.  Rules are evaluated whenever
+    that clock crosses a ``tick_s`` boundary, at a gateway's reboot, at
+    every ``sim.run_end`` event, and at explicit :meth:`evaluate` calls.
 
     Thread-safe: the Master server emits events from worker threads.
     """
@@ -636,15 +637,6 @@ class HealthMonitor:
         self._evaluate_global_locked(self._clock_s)
 
     # -- clocks and ticks --------------------------------------------------
-
-    def advance_gateway(self, gateway_id: int, now_s: float) -> None:
-        """Advance one gateway's sim clock (the engine's tick hook)."""
-        with self._lock:
-            state = self._gateways.get(gateway_id)
-            if state is None:
-                state = _GatewayState(self.window_s, self.bucket_s)
-                self._gateways[gateway_id] = state
-            self._advance_locked(gateway_id, state, now_s)
 
     def _advance_locked(
         self, gateway_id: Any, state: _GatewayState, now_s: float

@@ -5,8 +5,8 @@ A tiny :mod:`http.server`-based endpoint that any long-lived component
 attach to expose the observability session over HTTP:
 
 * ``GET /metrics`` — Prometheus text exposition (the session
-  :class:`~repro.obs.metrics.MetricsRegistry` plus the health monitor's
-  gauges).
+  :class:`~repro.obs.metrics.MetricsRegistry`, the gauges of the health
+  monitor the exporter was given, and an attached performance probe's).
 * ``GET /healthz`` — JSON health summary; status 200 while ``ok``,
   503 once ``degraded`` or ``critical`` (load-balancer semantics).
 * ``GET /alerts`` — JSON list of fired alerts (active and resolved).
@@ -51,8 +51,10 @@ class HealthHTTPExporter:
         metrics: Registry backing ``/metrics``; defaults to the active
             session registry (read per-request, so attaching before
             ``observe()`` works).
-        monitor: Health monitor backing ``/healthz`` and ``/alerts``;
-            defaults to the active session monitor.
+        monitor: Health monitor backing ``/healthz`` and ``/alerts``
+            (and its gauges on ``/metrics``).  Without one the exporter
+            serves no monitor: ``/healthz`` reflects only
+            ``health_sources``.
         health_sources: Extra named payloads merged into ``/healthz``
             under ``"sources"`` — a source reporting ``degraded: true``
             (or a ``status`` of ``"degraded"``/``"critical"``/
@@ -125,11 +127,6 @@ class HealthHTTPExporter:
             return self._metrics
         return _obs.METRICS
 
-    def _active_monitor(self) -> Optional[HealthMonitor]:
-        if self._monitor is not None:
-            return self._monitor
-        return _obs.HEALTH
-
     def _respond(self, handler: BaseHTTPRequestHandler) -> None:
         path = handler.path.split("?", 1)[0]
         try:
@@ -163,9 +160,8 @@ class HealthHTTPExporter:
         registry = self._active_metrics()
         if registry is not None:
             parts.append(registry.to_prometheus())
-        monitor = self._active_monitor()
-        if monitor is not None:
-            parts.append(monitor.to_prometheus())
+        if self._monitor is not None:
+            parts.append(self._monitor.to_prometheus())
         probe = _obs.PERF
         if probe is not None:
             # Live throughput gauges while a performance probe is
@@ -179,7 +175,7 @@ class HealthHTTPExporter:
 
     def healthz_snapshot(self) -> Dict[str, Any]:
         """The ``/healthz`` JSON payload (also usable in-process)."""
-        monitor = self._active_monitor()
+        monitor = self._monitor
         payload: Dict[str, Any] = (
             monitor.healthz()
             if monitor is not None
@@ -214,8 +210,7 @@ class HealthHTTPExporter:
         )
 
     def _alerts_payload(self) -> Tuple[bytes, int, str]:
-        monitor = self._active_monitor()
-        alerts = monitor.alerts() if monitor is not None else []
+        alerts = self._monitor.alerts() if self._monitor is not None else []
         return (
             json.dumps({"alerts": alerts}, sort_keys=True).encode(),
             200,

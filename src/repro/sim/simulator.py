@@ -219,7 +219,4 @@ class Simulator:
                     slots[id(record.transmission)].append(record)
         if rec is not None:
             rec.emit(EventType.SIM_RUN_END, run=run_index)
-        health = _obs.HEALTH
-        if health is not None:
-            health.evaluate()
         return result

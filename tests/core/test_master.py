@@ -1,5 +1,6 @@
 """Tests for the Master node (in-process) and its TCP front-end."""
 
+import socket
 import threading
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from repro.core.master import MasterNode, RegionFullError
 from repro.core.master_client import MasterClient, MasterRequestError
 from repro.core.master_server import MasterServer
+from repro.core.protocol import read_message, send_message
+from repro.faults import FaultPlan, MasterCrash
 
 
 class TestMasterNode:
@@ -140,6 +143,25 @@ class TestMasterOverTcp:
         master = MasterNode(grid_16)
         server = MasterServer(master).start()
         server.close()  # no exception, socket released
+
+    def test_port_is_free_once_a_crashed_masters_client_reads_eof(
+        self, grid_16
+    ):
+        # The crash fault closes the server from a handler thread.  A
+        # client that sees its connection die may restart a Master on
+        # the same port at once, so the listening socket must be gone
+        # by then.  The race is narrow: repeat it.
+        plan = FaultPlan(master_crashes=(MasterCrash(at_request=1),))
+        for _ in range(400):
+            server = MasterServer(MasterNode(grid_16), fault_plan=plan).start()
+            host, port = server.address
+            try:
+                with socket.create_connection((host, port), timeout=5.0) as conn:
+                    send_message(conn, {"type": "status"})
+                    assert read_message(conn) is None  # died before replying
+                    MasterServer(MasterNode(grid_16), host=host, port=port).close()
+            finally:
+                server.close()
 
 
 class TestResumeOverTcp:

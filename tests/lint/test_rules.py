@@ -161,6 +161,14 @@ class TestObs001Precision:
         )
         assert [f.rule_id for f in report.findings] == ["OBS001"]
 
+    def test_slot_list_matches_the_runtime(self):
+        # A slot added to or removed from obs/runtime.py without the
+        # linter's list would go unchecked, or be checked for nothing.
+        from repro.lint.rules import _OBS_SLOTS
+        from repro.obs import runtime
+
+        assert _OBS_SLOTS == {name for name in runtime.__all__ if name.isupper()}
+
 
 class TestUnit001Precision:
     def test_non_numeric_fields_are_ignored(self):

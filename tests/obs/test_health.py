@@ -146,7 +146,7 @@ class TestHealthMonitor:
         assert snap["pool_size"] == 2
         assert snap["sample"]["decoder_occupancy"] == pytest.approx(1.0)
         # Advance past the leases: occupancy drains to zero.
-        m.advance_gateway(0, 10.0)
+        m.observe_event(EventType.GW_LOCK_ON, 10.0, {"gw": 0})
         snap = m.gateway_health()["gw0"]
         assert snap["sample"]["decoder_occupancy"] == 0.0
 
@@ -227,7 +227,8 @@ class TestHealthMonitor:
                 EventType.GW_RECEPTION, t, {"gw": 0, "outcome": "received"}
             )
         # Now 10/12 ≈ 0.83: below threshold but above clear — hovers.
-        m.advance_gateway(0, 60.0)  # far past pending_since + for_s
+        # Far past pending_since + for_s.
+        m.observe_event(EventType.GW_LOCK_ON, 60.0, {"gw": 0})
         m.evaluate()
         assert m.alerts() == []
 
@@ -264,7 +265,7 @@ class TestHealthMonitor:
         m = HealthMonitor(rules=(rule,), window_s=5.0)
         m.observe_event(EventType.DECODER_REJECT, 0.0, {"gw": 0})
         # The window slides past the reject before for_s elapses.
-        m.advance_gateway(0, 20.0)
+        m.observe_event(EventType.GW_LOCK_ON, 20.0, {"gw": 0})
         m.evaluate()
         assert m.alerts() == []
 
@@ -280,7 +281,7 @@ class TestHealthMonitor:
         assert fired[0]["severity"] == "critical"
         assert m.healthz()["status"] == "critical"
         # The radio comes back; the next evaluation resolves the alert.
-        m.advance_gateway(0, 40.0)
+        m.observe_event(EventType.GW_LOCK_ON, 40.0, {"gw": 0})
         m.evaluate()
         resolved = [a for a in m.alerts() if a["rule"] == "gateway_offline"]
         assert resolved[0]["resolved_s"] is not None
@@ -334,8 +335,8 @@ class TestHealthMonitor:
 
     def test_clock_never_rewinds(self):
         m = HealthMonitor()
-        m.advance_gateway(0, 50.0)
-        m.advance_gateway(0, 10.0)  # replayed stale event
+        m.observe_event(EventType.GW_LOCK_ON, 50.0, {"gw": 0})
+        m.observe_event(EventType.GW_LOCK_ON, 10.0, {"gw": 0})  # replayed stale event
         assert m.gateway_health()["gw0"]["sim_time_s"] == 50.0
 
     def test_airtime_quantiles_surface(self):
@@ -348,7 +349,7 @@ class TestHealthMonitor:
 
     def test_empty_gateway_has_no_quantiles(self):
         m = HealthMonitor()
-        m.advance_gateway(0, 1.0)
+        m.observe_event(EventType.GW_LOCK_ON, 1.0, {"gw": 0})
         assert m.gateway_health()["gw0"]["airtime_quantiles_s"] is None
 
     def test_report_shape(self):
@@ -403,7 +404,7 @@ class TestObserveIntegration:
         with observe(trace=True, metrics=False, health=True) as s:
             from repro.obs import runtime
 
-            assert runtime.HEALTH is s.health
+            assert runtime.TRACE is s.recorder
             s.recorder.emit(EventType.GW_LOCK_ON, t=1.0, gw=0)
         assert s.health.events_seen == 1
 

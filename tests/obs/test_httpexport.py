@@ -96,10 +96,20 @@ class TestEndpoints:
                 session.recorder.emit(EventType.GW_LOCK_ON, t=1.0, gw=0)
                 _, metrics_body = _get(exporter.url + "/metrics")
                 _, healthz_body = _get(exporter.url + "/healthz")
-            # Session over: the exporter sees no registry/monitor at all.
+                _, alerts_body = _get(exporter.url + "/alerts")
+            # Session over: the exporter sees no registry at all.
             _, after = _get(exporter.url + "/metrics")
         assert "live_total 1" in metrics_body
-        assert json.loads(healthz_body)["gateways"]
+        # The registry falls back to the session's; the monitor does
+        # not: an exporter given no monitor serves none.
+        assert session.health.gateway_health()
+        assert "repro_health_" not in metrics_body
+        assert json.loads(healthz_body) == {
+            "status": "ok",
+            "gateways": {},
+            "active_alerts": 0,
+        }
+        assert json.loads(alerts_body) == {"alerts": []}
         assert after == ""
 
     def test_degraded_health_source_downgrades_status(self):
