@@ -184,6 +184,13 @@ class MasterServer:
         with self._conns_lock:
             conns = list(self._conns)
         for conn in conns:
+            # close() alone neither wakes a handler blocked in recv()
+            # nor ends the kernel socket, so an idle client would read
+            # no EOF: shut the connection down first.
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 conn.close()
             except OSError:

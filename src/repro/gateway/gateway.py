@@ -6,8 +6,8 @@ preamble detection (:mod:`.detector`), FCFS decoder dispatch
 interference (:mod:`repro.phy.interference`), and finally the sync-word
 network filter — which, crucially, runs *after* decoding, so foreign
 packets consume decoder resources before being discarded.  The same
-loop applies the gateway's timeline: channel switches, reboots,
-decoder-pool resizes and backhaul faults.
+loop applies the gateway's timeline between packets: channel switches,
+reboots, decoder-pool resizes and backhaul faults.
 """
 
 from __future__ import annotations
@@ -356,16 +356,21 @@ class Gateway:
         and below-sensitivity ones): they all shape detection, decoder
         occupancy, and interference.
 
-        Packets are served one at a time in ``(lock_on_s, network_id,
-        node_id)`` order, the hardware dispatcher's arrival order.  For
-        each, the timeline events due by its lock-on apply first, then
-        the front end, FCFS admission (:meth:`FcfsDispatcher.dispatch`),
-        decoding, the sync-word filter and the backhaul.  A packet no
-        receive channel passes is CHANNEL_MISMATCH without a
-        :func:`detect` call.  Reception events are emitted in the same order once the whole
-        timeline has run, because a later reboot can still turn an
-        in-flight reception into GATEWAY_OFFLINE.  The decoder pool
-        starts empty at the model's full size.
+        Packets are served in ``(lock_on_s, network_id, node_id)``
+        order, the hardware dispatcher's arrival order.  The timeline's
+        events split that order into segments: an event applies before
+        the first packet whose lock-on is at or after its ``time_s``,
+        and a batch without events is one segment.  In each segment the
+        packets that lock on while the radio is down are
+        GATEWAY_OFFLINE; one pass gives every packet no receive channel
+        passes its CHANNEL_MISMATCH record, without a :func:`detect`
+        call; the rest go one at a time through the front end, FCFS
+        admission (:meth:`FcfsDispatcher.dispatch`), decoding, the
+        sync-word filter and the backhaul.  Then the event closing the
+        segment applies.  Reception events are emitted in arrival order
+        once the whole timeline has run, because a later reboot can
+        still turn an in-flight reception into GATEWAY_OFFLINE.  The
+        decoder pool starts empty at the model's full size.
 
         Args:
             observations: The batch: this gateway's view of a run
@@ -388,6 +393,7 @@ class Gateway:
         if not isinstance(view, Hearing):
             view = self._hearing(view)
         txs, channel_ids = view.transmissions, view.channel_ids
+        arrivals, rssi_dbm = view.arrivals, view.rssi_dbm
         dispatch = FcfsDispatcher(pool).dispatch
         gw_id = self.gateway_id
         noise_figure = self.noise_figure_db
@@ -407,160 +413,177 @@ class Gateway:
         backhaul: Optional[Tuple[FaultPlan, Random]] = None
         if fault_plan is not None and fault_plan.backhaul_faults:
             backhaul = (fault_plan, fault_plan.rng(f"backhaul:gw{gw_id}"))
+        offline, mismatch = Outcome.GATEWAY_OFFLINE, Outcome.CHANNEL_MISMATCH
 
         channels = self._channels
         # The front end's match for each of the run's packet channels.
         matches = [match_rx_channel(c, channels) for c in view.channels]
+        # Lock-on times in arrival order place each event between two
+        # packets; a batch without events is one segment.
+        lock_ons: List[float] = (
+            [txs[p].lock_on_s for p in arrivals] if timeline else []
+        )
+        n_events, n_arrivals = len(timeline), len(arrivals)
         offline_until = float("-inf")
-        pending, n_events = 0, len(timeline)
         records: List[Optional[GatewayReception]] = [None] * len(txs)
         # (end_s, position, record) of every decoded reception since the
         # last reboot: each entry is checked by at most one reboot.
         in_flight: List[Tuple[float, int, GatewayReception]] = []
-        for p in view.arrivals:
-            tx = txs[p]
-            now = tx.lock_on_s
-            while pending < n_events and timeline[pending].time_s <= now:
-                ev = timeline[pending]
-                pending += 1
-                if st_timeline is not None:
-                    st_timeline.end(None)  # count-only: events are rare
-                if ev.channels is not None:
-                    # Detection keeps the event's channel order (it
-                    # breaks overlap ties); the gateway stores it sorted.
-                    channels = RxChannels(ev.channels)
-                    self.configure(channels)
-                    matches = [match_rx_channel(c, channels) for c in view.channels]
-                if ev.decoders is not None:
-                    pool.resize(ev.decoders)
-                    if rec_trace is not None:
-                        rec_trace.emit(
-                            EventType.POOL_RESIZE,
-                            t=ev.time_s,
-                            gw=gw_id,
-                            decoders=ev.decoders,
-                        )
-                if not ev.reboot:
-                    continue
-                self.reboot()  # aborts in-flight receptions (pool reset)
-                if rec_trace is not None:
-                    rec_trace.emit(
-                        EventType.GW_REBOOT,
-                        t=ev.time_s,
-                        gw=gw_id,
-                        outage=ev.outage_s,
-                        reason="reconfig" if ev.channels is not None else "crash",
-                    )
-                offline_until = max(offline_until, ev.time_s + ev.outage_s)
-                # Receptions still on air when the radio restarts are
-                # lost; every other field of the record is preserved so
-                # metrics attribution stays honest.
-                for end_s, j, record in in_flight:
-                    if end_s > ev.time_s:
-                        records[j] = record._replace(
-                            outcome=Outcome.GATEWAY_OFFLINE,
-                            backhaul_delay_s=0.0,
-                        )
-                in_flight = []
+        start = 0
+        for k in range(n_events + 1):
+            # This segment's packets lock on before event ``k``, and
+            # those before ``offline_until`` find the radio dark.
+            stop, live = n_arrivals, start
+            if k < n_events:
+                stop = bisect_left(lock_ons, timeline[k].time_s, start)
+            if lock_ons:
+                live = bisect_left(lock_ons, offline_until, start, stop)
+            for p in arrivals[start:live]:
+                records[p] = GatewayReception(gw_id, txs[p], offline)
+            # The front end cuts off every packet no receive channel
+            # passes: one pass, timed as one ``gw.detect`` call.
+            kept: List[int] = []
+            if live < stop:
+                t0 = st_detect.begin() if st_detect is not None else None
+                for p in arrivals[live:stop]:
+                    if matches[channel_ids[p]] is None:
+                        records[p] = GatewayReception(gw_id, txs[p], mismatch)
+                    else:
+                        kept.append(p)
+                if st_detect is not None:
+                    st_detect.end(t0, stop - live - len(kept))
 
-            if now < offline_until:
-                records[p] = GatewayReception(
-                    gateway_id=gw_id,
-                    transmission=tx,
-                    outcome=Outcome.GATEWAY_OFFLINE,
-                )
-                continue
-
-            # Each stage's phase also covers its direct outcome: the
-            # record of a packet the stage ends, or the trace event.
-            t0 = st_detect.begin() if st_detect is not None else None
-            det: Optional[Detection] = None
-            if matches[channel_ids[p]] is None:
-                outcome = Outcome.CHANNEL_MISMATCH
-            else:
-                obs = Observation(tx, cast(float, view.rssi_dbm[p]))
+            for p in kept:
+                tx = txs[p]
+                # Each stage's phase also covers its direct outcome: the
+                # record of a packet the stage ends, or the trace event.
+                t0 = st_detect.begin() if st_detect is not None else None
+                obs = Observation(tx, cast(float, rssi_dbm[p]))
                 det = detect(obs, channels, noise_figure_db=noise_figure)
-                outcome = Outcome.BELOW_SENSITIVITY
-            if det is None:
-                records[p] = GatewayReception(
-                    gateway_id=gw_id, transmission=tx, outcome=outcome
-                )
-            elif rec_trace is not None:
-                rec_trace.emit(
-                    EventType.GW_LOCK_ON,
-                    t=det.lock_on_s,
-                    gw=gw_id,
-                    net=tx.network_id,
-                    node=tx.node_id,
-                    ctr=tx.counter,
-                    att=tx.attempt,
-                    snr_db=det.snr_db,
-                )
-            if st_detect is not None:
-                st_detect.end(t0)
-            if det is None:
-                continue
+                if det is None:
+                    records[p] = GatewayReception(
+                        gw_id, tx, Outcome.BELOW_SENSITIVITY
+                    )
+                elif rec_trace is not None:
+                    rec_trace.emit(
+                        EventType.GW_LOCK_ON,
+                        t=det.lock_on_s,
+                        gw=gw_id,
+                        net=tx.network_id,
+                        node=tx.node_id,
+                        ctr=tx.counter,
+                        att=tx.attempt,
+                        snr_db=det.snr_db,
+                    )
+                if st_detect is not None:
+                    st_detect.end(t0)
+                if det is None:
+                    continue
 
-            t0 = st_dispatch.begin() if st_dispatch is not None else None
-            admission = dispatch((det,))[0]
-            if admission.lease is None:
-                records[p] = GatewayReception(
+                t0 = st_dispatch.begin() if st_dispatch is not None else None
+                admission = dispatch((det,))[0]
+                if admission.lease is None:
+                    records[p] = GatewayReception(
+                        gateway_id=gw_id,
+                        transmission=tx,
+                        outcome=Outcome.NO_DECODER,
+                        rx_channel=det.rx_channel,
+                        snr_db=det.snr_db,
+                        lock_on_s=det.lock_on_s,
+                        blocker_network_ids=tuple(
+                            lease.holder_network_id
+                            for lease in admission.blockers
+                        ),
+                    )
+                if st_dispatch is not None:
+                    st_dispatch.end(t0)
+                if admission.lease is None:
+                    continue
+
+                t0 = st_decode.begin() if st_decode is not None else None
+                if self.collision_resilient:
+                    # CIC-style PHY: interference is resolved, only the
+                    # noise threshold matters (already checked by detect).
+                    ok = True
+                else:
+                    ok = decode_ok(
+                        obs.rssi_dbm,
+                        noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure),
+                        tx.sf,
+                        det.rx_channel,
+                        self._interferers_for(det, view),
+                    )
+                backhaul_delay_s = 0.0
+                if not ok:
+                    outcome = Outcome.DECODE_FAILED
+                elif tx.network_id != self.network_id:
+                    outcome = Outcome.FILTERED_FOREIGN
+                elif backhaul is None:
+                    outcome = Outcome.RECEIVED
+                else:
+                    outcome, backhaul_delay_s = self._backhaul(tx, *backhaul)
+                record = GatewayReception(
                     gateway_id=gw_id,
                     transmission=tx,
-                    outcome=Outcome.NO_DECODER,
+                    outcome=outcome,
                     rx_channel=det.rx_channel,
                     snr_db=det.snr_db,
                     lock_on_s=det.lock_on_s,
-                    blocker_network_ids=tuple(
-                        lease.holder_network_id for lease in admission.blockers
-                    ),
+                    backhaul_delay_s=backhaul_delay_s,
                 )
-            if st_dispatch is not None:
-                st_dispatch.end(t0)
-            if admission.lease is None:
-                continue
+                records[p] = record
+                in_flight.append((tx.end_s, p, record))
+                if st_decode is not None:
+                    st_decode.end(t0)
 
-            t0 = st_decode.begin() if st_decode is not None else None
-            if self.collision_resilient:
-                # CIC-style PHY: interference is resolved, only the
-                # noise threshold matters (already checked by detect).
-                ok = True
-            else:
-                ok = decode_ok(
-                    obs.rssi_dbm,
-                    noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure),
-                    tx.sf,
-                    det.rx_channel,
-                    self._interferers_for(det, view),
+            if stop == n_arrivals:
+                break  # later events find no packet to precede
+            ev = timeline[k]
+            start = stop
+            if st_timeline is not None:
+                st_timeline.end(None)  # count-only: events are rare
+            if ev.channels is not None:
+                # Detection keeps the event's channel order (it breaks
+                # overlap ties); the gateway stores it sorted.
+                channels = RxChannels(ev.channels)
+                self.configure(channels)
+                matches = [match_rx_channel(c, channels) for c in view.channels]
+            if ev.decoders is not None:
+                pool.resize(ev.decoders)
+                if rec_trace is not None:
+                    rec_trace.emit(
+                        EventType.POOL_RESIZE,
+                        t=ev.time_s,
+                        gw=gw_id,
+                        decoders=ev.decoders,
+                    )
+            if not ev.reboot:
+                continue
+            self.reboot()  # aborts in-flight receptions (pool reset)
+            if rec_trace is not None:
+                rec_trace.emit(
+                    EventType.GW_REBOOT,
+                    t=ev.time_s,
+                    gw=gw_id,
+                    outage=ev.outage_s,
+                    reason="reconfig" if ev.channels is not None else "crash",
                 )
-            backhaul_delay_s = 0.0
-            if not ok:
-                outcome = Outcome.DECODE_FAILED
-            elif tx.network_id != self.network_id:
-                outcome = Outcome.FILTERED_FOREIGN
-            elif backhaul is None:
-                outcome = Outcome.RECEIVED
-            else:
-                outcome, backhaul_delay_s = self._backhaul(tx, *backhaul)
-            record = GatewayReception(
-                gateway_id=gw_id,
-                transmission=tx,
-                outcome=outcome,
-                rx_channel=det.rx_channel,
-                snr_db=det.snr_db,
-                lock_on_s=det.lock_on_s,
-                backhaul_delay_s=backhaul_delay_s,
-            )
-            records[p] = record
-            in_flight.append((tx.end_s, p, record))
-            if st_decode is not None:
-                st_decode.end(t0)
+            offline_until = max(offline_until, ev.time_s + ev.outage_s)
+            # Receptions still on air when the radio restarts are lost;
+            # every other field of the record is preserved so metrics
+            # attribution stays honest.
+            for end_s, j, record in in_flight:
+                if end_s > ev.time_s:
+                    records[j] = record._replace(
+                        outcome=offline, backhaul_delay_s=0.0
+                    )
+            in_flight = []
 
         done = cast(List[GatewayReception], records)
         metrics = _obs.METRICS
         with phase_timed(Phase.EMIT, items=len(view)):
             if rec_trace is not None or metrics is not None:
-                for p in view.arrivals:
+                for p in arrivals:
                     record = done[p]
                     tx = record.transmission
                     outcome_value = record.outcome.value

@@ -144,6 +144,25 @@ class TestMasterOverTcp:
         server = MasterServer(master).start()
         server.close()  # no exception, socket released
 
+    def test_close_severs_an_idle_connection(self, grid_16):
+        # The handler of an idle connection sits in recv(); close() must
+        # still end the connection, so the client reads EOF at once.
+        server = MasterServer(MasterNode(grid_16)).start()
+        try:
+            with socket.create_connection(server.address, timeout=2.0) as conn:
+                send_message(conn, {"type": "status"})
+                assert read_message(conn)["type"] == "status_ok"
+                server.close()
+                try:
+                    data = conn.recv(1)
+                except socket.timeout:
+                    pytest.fail("no EOF within 2 s of close()")
+                except OSError:
+                    data = b""
+                assert data == b""
+        finally:
+            server.close()
+
     def test_port_is_free_once_a_crashed_masters_client_reads_eof(
         self, grid_16
     ):
