@@ -24,7 +24,7 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 docs:
-	python -m repro.tools.apidoc docs/API.md
+	PYTHONPATH=src python -m repro.tools.apidoc docs/API.md
 
 examples:
 	python examples/quickstart.py

@@ -10,8 +10,7 @@ later packets are dropped: the *decoder contention problem*.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..obs import runtime as _obs
 from ..obs.events import EventType
@@ -23,9 +22,8 @@ __all__ = ["DecoderLease", "DecoderPool"]
 _OCCUPANCY_BUCKETS = (0, 1, 2, 4, 8, 16, 32)
 
 
-@dataclass(frozen=True)
-class DecoderLease:
-    """A successful decoder allocation."""
+class DecoderLease(NamedTuple):
+    """A successful decoder allocation (a named tuple)."""
 
     decoder_index: int
     start_s: float
@@ -154,13 +152,7 @@ class DecoderPool:
                 ).inc()
             return None
         index = heapq.heappop(self._free_indices)
-        lease = DecoderLease(
-            decoder_index=index,
-            start_s=now_s,
-            release_s=release_s,
-            holder_network_id=network_id,
-            holder_node_id=node_id,
-        )
+        lease = DecoderLease(index, now_s, release_s, network_id, node_id)
         self._seq += 1
         heapq.heappush(self._busy, (release_s, self._seq, lease))
         self.total_allocations += 1

@@ -9,8 +9,7 @@ Only packets passing both gates ever contend for decoders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from ..phy.channels import Channel, overlap_ratio
 from ..phy.interference import DETECTION_MIN_OVERLAP
@@ -21,9 +20,11 @@ from ..types import Observation, Transmission
 __all__ = ["Detection", "RxChannels", "match_rx_channel", "detect"]
 
 
-@dataclass(frozen=True)
-class Detection:
-    """A packet that passed front-end matching and preamble detection."""
+class Detection(NamedTuple):
+    """A packet that passed front-end matching and preamble detection.
+
+    A named tuple: the reception loop builds one per lock-on.
+    """
 
     observation: Observation
     rx_channel: Channel
@@ -116,9 +117,4 @@ def detect(
     snr = observation.rssi_dbm - noise
     if snr < SNR_THRESHOLD_DB[tx.sf]:
         return None
-    return Detection(
-        observation=observation,
-        rx_channel=rx_channel,
-        lock_on_s=tx.lock_on_s,
-        snr_db=snr,
-    )
+    return Detection(observation, rx_channel, tx.lock_on_s, snr)

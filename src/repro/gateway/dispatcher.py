@@ -9,8 +9,7 @@ attributed to intra- versus inter-network decoder contention (Figure 4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs import runtime as _obs
 from ..obs.events import EventType
@@ -20,9 +19,8 @@ from .detector import Detection
 __all__ = ["DispatchResult", "FcfsDispatcher"]
 
 
-@dataclass(frozen=True)
-class DispatchResult:
-    """Outcome of dispatching one detection."""
+class DispatchResult(NamedTuple):
+    """Outcome of dispatching one detection (a named tuple)."""
 
     detection: Detection
     lease: Optional[DecoderLease]
@@ -51,18 +49,20 @@ class FcfsDispatcher:
         The caller times the ``gw.dispatch`` phase.
 
         Args:
-            detections: Detections in any order; they are sorted by
-                lock-on time (ties broken by network and node id for
-                determinism) before being offered to the pool,
+            detections: Detections in any order; two or more are
+                sorted by lock-on time (ties broken by network and node
+                id for determinism) before being offered to the pool,
                 mirroring the hardware dispatcher's arrival order.
 
         Returns:
             One :class:`DispatchResult` per detection, in dispatch order.
         """
-        ordered = sorted(
-            detections,
-            key=lambda d: (d.lock_on_s, d.tx.network_id, d.tx.node_id),
-        )
+        ordered = detections
+        if len(detections) > 1:
+            ordered = sorted(
+                detections,
+                key=lambda d: (d.lock_on_s, d.tx.network_id, d.tx.node_id),
+            )
         results: List[DispatchResult] = []
         for det in ordered:
             tx = det.tx
@@ -98,7 +98,5 @@ class FcfsDispatcher:
                         att=tx.attempt,
                         blockers=[b.holder_network_id for b in blockers],
                     )
-            results.append(
-                DispatchResult(detection=det, lease=lease, blockers=blockers)
-            )
+            results.append(DispatchResult(det, lease, blockers))
         return results

@@ -42,7 +42,7 @@ from ..phy.lora import SpreadingFactor
 from ..phy.link import Position, noise_floor_dbm
 from ..types import Observation, Transmission
 from .decoder import DecoderPool
-from .detector import Detection, RxChannels, detect, match_rx_channel
+from .detector import RxChannels, detect, match_rx_channel
 from .dispatcher import FcfsDispatcher
 from .models import GatewayModel, get_model
 
@@ -67,8 +67,14 @@ _Row = Tuple[
     SpreadingFactor, Channel, int,
 ]
 # (per frequency bucket: rows, their starts, longest airtime; buckets a
-# lookup scans on each side of its own).
-_TimeIndex = Tuple[Dict[int, Tuple[List[_Row], List[float], float]], int]
+# lookup scans on each side of its own; per position, the rows that
+# overlap that packet in time and passband, ``None`` until it is first
+# decoded at any gateway of the run).
+_TimeIndex = Tuple[
+    Dict[int, Tuple[List[_Row], List[float], float]],
+    int,
+    List[Optional[List[_Row]]],
+]
 
 
 def _row_start_s(row: _Row) -> float:
@@ -262,7 +268,9 @@ class Gateway:
         floats instead of re-deriving them per candidate.  A simulated
         run indexes its transmissions once for all gateways
         (:class:`~repro.sim.medium.Medium`); a batch handed to
-        :meth:`receive` alone is indexed on its own.
+        :meth:`receive` alone is indexed on its own.  The index also
+        holds, per position, the rows :meth:`_interferers_for` finds
+        for that packet, ``None`` until its first call.
         """
         buckets: Dict[int, List[_Row]] = {}
         widest = 0.0
@@ -282,7 +290,8 @@ class Gateway:
             starts = [row[1] for row in rows]
             max_airtime = max(row[0].airtime_s for row in rows)
             index[key] = (rows, starts, max_airtime)
-        return index, bucket_reach(widest)
+        overlapping: List[Optional[List[_Row]]] = [None] * len(transmissions)
+        return index, bucket_reach(widest), overlapping
 
     @staticmethod
     def _hearing(observations: Sequence[Observation]) -> Hearing:
@@ -294,52 +303,59 @@ class Gateway:
             channels, Gateway._build_time_index(txs),
         )
 
-    def _interferers_for(
-        self, det: Detection, hearing: Hearing
-    ) -> List[Interferer]:
-        """Concurrent transmissions adding energy into ``det``'s passband.
+    def _interferers_for(self, p: int, hearing: Hearing) -> List[Interferer]:
+        """Concurrent transmissions adding energy into packet ``p``'s
+        passband, ``p`` being its position in the run.
 
-        A candidate counts when it overlaps ``det`` both in time and in
-        frequency and this gateway hears it.  ``min(ends) <=
+        A candidate counts when it overlaps the packet both in time and
+        in frequency and this gateway hears it.  ``min(ends) <=
         max(starts)`` is the exact negation of
         :func:`~repro.types.time_overlap_s` being positive (for finite
         floats ``x - y <= 0`` holds exactly when ``x <= y``), and
         likewise for the passband edges and
-        :func:`~repro.phy.channels.overlap_hz`.  Interferers come out
+        :func:`~repro.phy.channels.overlap_hz`.  Which rows overlap
+        depends only on the run, so the first call for ``p`` at any
+        gateway scans the index and stores them, before the heard
+        filter; later calls walk the stored rows.  Interferers come out
         bucket by bucket upwards, each bucket in (start, position)
         order: skipping the packets a gateway does not hear leaves the
         order its own batch's index would give.
         """
-        me = det.tx
-        me_start, me_end = me.start_s, me.end_s
-        channel = me.channel
-        me_low, me_high = channel.low_hz, channel.high_hz
-        me_net = me.network_id
-        buckets, reach = hearing.index
+        buckets, reach, overlapping = hearing.index
+        me = hearing.transmissions[p]
+        found = overlapping[p]
+        if found is None:
+            found = overlapping[p] = []
+            me_start, me_end = me.start_s, me.end_s
+            channel = me.channel
+            me_low, me_high = channel.low_hz, channel.high_hz
+            center_key = int(channel.center_hz // INDEX_BUCKET_HZ)
+            for key in range(center_key - reach, center_key + reach + 1):
+                entry = buckets.get(key)
+                if entry is None:
+                    continue
+                rows, starts, max_airtime = entry
+                lo = bisect_left(starts, me_start - max_airtime)
+                hi = bisect_right(starts, me_end)
+                for row in rows[lo:hi]:
+                    tx, start, end, low, high, _pos, _sf, _chan, _net = row
+                    if tx is me:
+                        continue
+                    if (end if end < me_end else me_end) <= (
+                        start if start > me_start else me_start
+                    ):
+                        continue
+                    if (high if high < me_high else me_high) <= (
+                        low if low > me_low else me_low
+                    ):
+                        continue
+                    found.append(row)
         heard = hearing.rssi_dbm
-        center_key = int(channel.center_hz // INDEX_BUCKET_HZ)
+        me_net = me.network_id
         interferers: List[Interferer] = []
-        for key in range(center_key - reach, center_key + reach + 1):
-            entry = buckets.get(key)
-            if entry is None:
-                continue
-            rows, starts, max_airtime = entry
-            lo = bisect_left(starts, me_start - max_airtime)
-            hi = bisect_right(starts, me_end)
-            for tx, start, end, low, high, pos, sf, chan, net in rows[lo:hi]:
-                if tx is me:
-                    continue
-                if (end if end < me_end else me_end) <= (
-                    start if start > me_start else me_start
-                ):
-                    continue
-                if (high if high < me_high else me_high) <= (
-                    low if low > me_low else me_low
-                ):
-                    continue
-                rssi = heard[pos]
-                if rssi is None:
-                    continue
+        for _tx, _start, _end, _low, _high, pos, sf, chan, net in found:
+            rssi = heard[pos]
+            if rssi is not None:
                 interferers.append(Interferer(rssi, sf, chan, net == me_net))
         return interferers
 
@@ -511,7 +527,7 @@ class Gateway:
                         noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure),
                         tx.sf,
                         det.rx_channel,
-                        self._interferers_for(det, view),
+                        self._interferers_for(p, view),
                     )
                 backhaul_delay_s = 0.0
                 if not ok:

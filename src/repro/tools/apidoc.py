@@ -13,7 +13,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
-from typing import List, Optional
+from typing import ForwardRef, List, Optional
 
 __all__ = ["generate_api_docs", "PACKAGES"]
 
@@ -43,10 +43,23 @@ def _summary(obj) -> str:
 
 
 def _signature(obj) -> str:
+    """``obj``'s signature, string annotations quoted.
+
+    Under ``from __future__ import annotations`` a NamedTuple's fields
+    carry ``ForwardRef`` annotations; they print as their strings, as a
+    dataclass's do.
+    """
     try:
-        return str(inspect.signature(obj))
+        sig = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(...)"
+    params = [
+        p.replace(annotation=p.annotation.__forward_arg__)
+        if isinstance(p.annotation, ForwardRef)
+        else p
+        for p in sig.parameters.values()
+    ]
+    return str(sig.replace(parameters=params))
 
 
 def _document_module(module) -> List[str]:

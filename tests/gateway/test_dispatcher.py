@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.gateway.decoder import DecoderPool
+from repro.gateway.decoder import DecoderLease, DecoderPool
 from repro.gateway.detector import Detection
-from repro.gateway.dispatcher import FcfsDispatcher
+from repro.gateway.dispatcher import DispatchResult, FcfsDispatcher
 from repro.phy.channels import ChannelGrid
 from repro.phy.link import noise_floor_dbm
 from repro.phy.lora import SpreadingFactor
@@ -92,3 +92,50 @@ class TestDispatch:
         assert [r.detection.tx.node_id for r in res1 if r.admitted] == (
             [r.detection.tx.node_id for r in res2 if r.admitted]
         )
+
+
+class TestRecords:
+    """The records are named tuples with the old dataclasses' surface."""
+
+    def test_fields_and_defaults(self):
+        assert Detection._fields == (
+            "observation", "rx_channel", "lock_on_s", "snr_db",
+        )
+        assert Detection._field_defaults == {}
+        assert DecoderLease._fields == (
+            "decoder_index", "start_s", "release_s", "holder_network_id",
+            "holder_node_id",
+        )
+        assert DecoderLease._field_defaults == {}
+        assert DispatchResult._fields == ("detection", "lease", "blockers")
+        assert DispatchResult._field_defaults == {"blockers": ()}
+
+    def test_detection_tx_is_the_observed_transmission(self):
+        det = make_detection(3)
+        assert det.tx is det.observation.transmission
+
+    def test_admitted_follows_the_lease(self):
+        det = make_detection(1)
+        lease = DecoderLease(0, det.lock_on_s, det.tx.end_s, 1, 1)
+        assert DispatchResult(det, lease).admitted
+        assert not DispatchResult(det, None).admitted
+        assert not DispatchResult(det, None, (lease,)).admitted
+
+    def test_one_detection_per_call_matches_the_sorted_batch(self):
+        # Two decoders, six detections with a lock-on tie: the batch
+        # sorts them; offering them one per call in that order must grant
+        # and reject the same, with the same blockers.
+        dets = [
+            make_detection(node, start=start, network_id=net)
+            for node, start, net in (
+                (4, 0.002, 2), (1, 0.0, 1), (2, 0.001, 2),
+                (3, 0.001, 1), (5, 0.003, 1), (6, 0.004, 2),
+            )
+        ]
+        batch = FcfsDispatcher(DecoderPool(2)).dispatch(dets)
+        single = FcfsDispatcher(DecoderPool(2))
+        one_by_one = [single.dispatch((r.detection,))[0] for r in batch]
+        assert one_by_one == batch
+        assert [r.detection.tx.node_id for r in batch] == [1, 3, 2, 4, 5, 6]
+        assert [r.admitted for r in batch].count(False) > 0
+        assert all(r.blockers for r in batch if not r.admitted)

@@ -5,7 +5,9 @@ packet's interferers through ``Gateway._interferers_for`` over a
 precomputed time index, as the gateway hears it, and judge it with
 ``decode_ok``.  A simulated run builds that index once for all its
 gateways (``repro.sim.medium.Medium``); a batch given to
-``Gateway.receive`` alone is indexed on its own.  These tests rebuild
+``Gateway.receive`` alone is indexed on its own.  The index stores each
+packet's overlapping rows at its first decode, and every later gateway
+reads them through its own RSSI row.  These tests rebuild
 both kernels from the public PHY helpers (``time_overlap_s``,
 ``overlap_hz``, ``overlap_ratio``, ``sf_isolation_db``,
 ``overlap_rejection_db``) on seeded random traffic that includes the
@@ -20,8 +22,8 @@ from typing import Dict, List
 
 import pytest
 
-from repro.gateway.detector import Detection, detect
-from repro.gateway.gateway import Gateway
+from repro.gateway.detector import detect
+from repro.gateway.gateway import Gateway, Outcome
 from repro.gateway.models import get_model
 from repro.node.device import EndDevice
 from repro.phy.channels import (
@@ -206,22 +208,11 @@ def test_interferers_match_brute_force(seed):
     gw = make_gateway()
     hearing = Gateway._hearing(observations)
     seen = 0
-    for obs in observations:
-        det = Detection(
-            observation=obs,
-            rx_channel=obs.transmission.channel,
-            lock_on_s=obs.transmission.lock_on_s,
-            snr_db=obs.rssi_dbm - NOISE,
-        )
-        got = gw._interferers_for(det, hearing)
+    for p, obs in enumerate(observations):
+        got = gw._interferers_for(p, hearing)
         assert got == reference_interferers(obs, observations)
         seen += len(got)
     assert seen > 0
-
-
-def _detection(obs: Observation) -> Detection:
-    tx = obs.transmission
-    return Detection(obs, tx.channel, tx.lock_on_s, obs.rssi_dbm - NOISE)
 
 
 def test_wide_channels_two_buckets_apart_see_each_other():
@@ -245,8 +236,8 @@ def test_wide_channels_two_buckets_apart_see_each_other():
     assert overlap_hz(a.channel, b.channel) == pytest.approx(30_000.0)
     gw = make_gateway()
     hearing = Gateway._hearing(observations)
-    for obs in observations:
-        got = gw._interferers_for(_detection(obs), hearing)
+    for p, obs in enumerate(observations):
+        got = gw._interferers_for(p, hearing)
         assert len(got) == 1
         assert got == reference_interferers(obs, observations)
 
@@ -275,10 +266,9 @@ def test_decode_ok_matches_brute_force(seed):
     gw = make_gateway()
     hearing = Gateway._hearing(observations)
     verdicts = set()
-    for obs in observations:
+    for p, obs in enumerate(observations):
         tx = obs.transmission
-        det = Detection(obs, tx.channel, tx.lock_on_s, obs.rssi_dbm - NOISE)
-        interferers = gw._interferers_for(det, hearing)
+        interferers = gw._interferers_for(p, hearing)
         noise = noise_floor_dbm(tx.channel.bandwidth_hz)
         assert effective_noise_mw(
             noise, tx.sf, tx.channel, interferers
@@ -372,9 +362,10 @@ def recording_interferers(monkeypatch):
     seen: Dict[str, Dict[tuple, List[Interferer]]] = {}
     original = Gateway._interferers_for
 
-    def recording(self, det, hearing):
-        found = original(self, det, hearing)
-        seen[seen["label"]].setdefault((self.gateway_id, tx_key(det.tx)), found)
+    def recording(self, p, hearing):
+        found = original(self, p, hearing)
+        key = (self.gateway_id, tx_key(hearing.transmissions[p]))
+        seen[seen["label"]].setdefault(key, found)
         return found
 
     monkeypatch.setattr(Gateway, "_interferers_for", recording)
@@ -432,7 +423,17 @@ def test_run_matches_each_gateway_receiving_its_own_batch(seed, monkeypatch):
     assert fates(online) == fates(result)
 
 
-def test_packet_pruned_at_one_gateway_interferes_only_at_the_other():
+def heard_positions(hearing) -> List[int]:
+    """The run positions ``hearing`` hears, in the run order its
+    observations iterate in."""
+    return [p for p, rssi in enumerate(hearing.rssi_dbm) if rssi is not None]
+
+
+def pruned_partner():
+    """Two packets on one channel and SF: packet 0 is heard at both
+    gateways, packet 1 only at gateway 1.
+
+    Returns (simulator, gateways, transmissions, path-loss table)."""
     channel, sf = RX_CHANNELS[2], SpreadingFactor.SF9
     txs = [
         Transmission(node_id=i, network_id=1, channel=channel, sf=sf, start_s=0.01 * i)
@@ -446,7 +447,6 @@ def test_packet_pruned_at_one_gateway_interferes_only_at_the_other():
         EndDevice(tx.node_id, 1, Position(float(tx.node_id), 0.0), channel)
         for tx in txs
     ]
-    # Packet 0 is heard at both gateways; packet 1 only at gateway 1.
     rssi = {(0, 0): NOISE + 10.0, (0, 1): NOISE + 10.0,
             (1, 0): CUTOFF - 1.0, (1, 1): NOISE - 5.0}
     table = {
@@ -454,19 +454,88 @@ def test_packet_pruned_at_one_gateway_interferes_only_at_the_other():
         for (node, gid), value in rssi.items()
     }
     sim = OnlineSimulator(gws, devices, link=LinkBudget(path_loss=TableLoss(table)))
+    return sim, gws, txs, table
+
+
+def test_packet_pruned_at_one_gateway_interferes_only_at_the_other():
+    sim, gws, txs, table = pruned_partner()
     medium = sim.medium(txs)
     found = {}
     for gw in gws:
         obs = sim.observations_at(gw, txs, medium)
         hearing = medium.hearing(gw)
         me = next(o for o in obs if o.transmission is txs[0])
-        found[gw.gateway_id] = gw._interferers_for(_detection(me), hearing)
+        found[gw.gateway_id] = gw._interferers_for(0, hearing)
         assert found[gw.gateway_id] == reference_interferers(me, obs)
     assert [o.transmission for o in sim.observations_at(gws[0], txs)] == txs[:1]
     assert found[0] == []
     assert found[1] == [
-        Interferer(rssi_dbm=14.0 + 0.0 - table[(1.0, -2.0)], sf=sf, channel=channel)
+        Interferer(
+            rssi_dbm=14.0 + 0.0 - table[(1.0, -2.0)], sf=txs[1].sf,
+            channel=txs[1].channel,
+        )
     ]
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["pruned-first", "heard-first"])
+def test_stored_partner_reaches_every_gateway_in_either_order(first):
+    # The run's index stores packet 0's overlapping rows at its first
+    # decode, before the heard filter: gateway 0 pruning packet 1 must
+    # not hide it from gateway 1, whichever gateway decodes first.
+    sim, gws, txs, _table = pruned_partner()
+    medium = sim.medium(txs)
+    for gw in (gws[first], gws[1 - first]):
+        obs = sim.observations_at(gw, txs, medium)
+        hearing = medium.hearing(gw)
+        me = next(o for o in obs if o.transmission is txs[0])
+        assert gw._interferers_for(0, hearing) == reference_interferers(me, obs)
+    stored = medium.hearing(gws[0]).index[2]
+    assert [row[0] for row in stored[0]] == [txs[1]]
+    assert stored[1] is None  # never decoded here
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_stored_interferers_match_brute_force_in_either_gateway_order(
+    seed, reverse
+):
+    gws, devices, link, txs = deployment(seed, gateways=3)
+    sim = OnlineSimulator(gws, devices, link=link)
+    medium = sim.medium(txs)
+    pruned_partners = 0
+    for gw in gws[::-1] if reverse else gws:
+        obs = sim.observations_at(gw, txs, medium)
+        hearing = medium.hearing(gw)
+        for p, o in zip(heard_positions(hearing), obs):
+            got = gw._interferers_for(p, hearing)
+            assert got == reference_interferers(o, obs)
+            pruned_partners += len(hearing.index[2][p]) > len(got)
+    assert pruned_partners > 0  # stored rows some gateway does not hear
+
+
+DECODED = {Outcome.RECEIVED, Outcome.FILTERED_FOREIGN, Outcome.DECODE_FAILED}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_stored_list_per_decoded_packet_and_reruns_repeat(seed):
+    gws, devices, link, txs = deployment(seed, gateways=3)
+    sim = OnlineSimulator(gws, devices, link=link)
+    medium = sim.medium(txs)
+    views = [medium.hearing(gw) for gw in gws]
+    first = [gw.receive(view) for gw, view in zip(gws, views)]
+    position = {id(tx): p for p, tx in enumerate(txs)}
+    decodes = [
+        position[id(r.transmission)]
+        for records in first for r in records if r.outcome in DECODED
+    ]
+    stored = views[0].index[2]
+    filled = {p for p, rows in enumerate(stored) if rows is not None}
+    assert filled == set(decodes)
+    assert len(decodes) > len(filled)  # some packets decode at 2+ gateways
+    # The same views again: the stored lists serve every decode.
+    assert [gw.receive(view) for gw, view in zip(gws, views)] == first
+    # A new run's index starts with nothing stored.
+    assert set(sim.medium(txs).hearing(gws[0]).index[2]) == {None}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -484,8 +553,8 @@ def test_misaligned_plans_keep_the_bucket_start_position_order(seed):
     for gw in gws:
         obs = sim.observations_at(gw, txs, medium)
         hearing = medium.hearing(gw)
-        for o in obs:
-            got = gw._interferers_for(_detection(o), hearing)
+        for p, o in zip(heard_positions(hearing), obs):
+            got = gw._interferers_for(p, hearing)
             assert got == reference_interferers(o, obs)
             seen += len(got) > 1
     assert seen > 0

@@ -124,7 +124,7 @@ def _reference_receive(gw, observations, timeline=(), fault_plan=None):
             noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure),
             tx.sf,
             det.rx_channel,
-            gw._interferers_for(det, view),
+            gw._interferers_for(p, view),
         )
         delay_s = 0.0
         if not ok:

@@ -29,6 +29,14 @@ class TestGeneration:
         docs = generate_api_docs(["repro.phy"])
         assert "repro.core" not in docs
 
+    def test_no_signature_renders_a_forward_ref(self):
+        docs = generate_api_docs()
+        assert "ForwardRef" not in docs
+        # NamedTuple fields (Interferer) read like dataclass fields
+        # (TimelineEvent).
+        assert "Interferer(rssi_dbm: 'float', sf: 'SpreadingFactor'" in docs
+        assert "TimelineEvent(time_s: 'float'" in docs
+
     def test_main_writes_file(self, tmp_path, capsys):
         out = tmp_path / "api.md"
         assert main([str(out)]) == 0
