@@ -9,7 +9,7 @@ test:
 	pytest tests/
 
 lint:
-	PYTHONPATH=src python -m repro.tools lint src tests --deep --baseline lint-baseline.json
+	PYTHONPATH=src python -m repro.tools lint src tests --deep
 
 # Fast local loop: only report files changed vs HEAD.
 lint-changed:

@@ -12,7 +12,7 @@ DET001     All RNG flows from an explicit seed expression — no
 DET002     Wall clock (``time.time``/``perf_counter``/``datetime.now``)
            confined to an allowlist of telemetry sites whose readings
            land only in ``*_wall_s``/``*_rtt_s`` fields (allowlist in
-           the ``[tool.repro-lint]`` table of pyproject.toml).
+           :data:`~repro.lint.config.DEFAULT_CONFIG`).
 DET003     No ``==``/``!=`` between float simulation times — use
            ``math.isclose`` or integer ticks.
 OBS001     Every ``repro.obs`` hook-slot use is None-guarded, keeping
@@ -49,15 +49,14 @@ whole-program passes, ``--changed`` for touched-files-only reporting),
 ``make lint``, the pytest gate ``tests/lint/test_repo_clean.py``, and
 the library APIs :func:`lint_paths` / :func:`run_deep`.  Inline
 suppression: ``# repro: noqa[RULE-ID]`` on any physical line of the
-offending statement; legacy debt lives in the tracked baseline
-(``lint-baseline.json``).  DESIGN.md section 9 is the human-readable
-contract.
+offending statement, next to a comment justifying it; there is no
+finding baseline, so any other finding must be fixed.  DESIGN.md
+section 9 is the human-readable contract.
 """
 
 from __future__ import annotations
 
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .config import DEFAULT_CONFIG, LintConfig, load_config
+from .config import DEFAULT_CONFIG, LintConfig
 from .engine import (
     LintContext,
     LintReport,
@@ -91,20 +90,16 @@ __all__ = [
     "ProgramIndex",
     "Rule",
     "RULES",
-    "apply_baseline",
     "build_program",
     "deep_rule",
     "is_suppressed",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "load_config",
     "render_github",
     "render_json",
     "render_sarif",
     "render_text",
     "rule",
     "run_deep",
-    "write_baseline",
 ]

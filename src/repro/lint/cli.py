@@ -1,11 +1,9 @@
 """``python -m repro.tools lint`` — the linter's command-line front end.
 
-Exit codes: 0 clean (after baseline), 1 findings or stale baseline
-entries, 2 parse/usage errors.  ``--format json`` emits a machine-
-readable report (uploaded as a CI artifact); ``--format sarif`` emits a
-SARIF 2.1.0 log for code-scanning upload; ``--format github`` emits
-workflow-command annotations; ``--write-baseline`` regenerates the
-grandfather file from the current findings.
+Exit codes: 0 clean, 1 findings, 2 parse/usage errors.  ``--format
+json`` emits a machine-readable report (uploaded as a CI artifact);
+``--format sarif`` emits a SARIF 2.1.0 log for code-scanning upload;
+``--format github`` emits workflow-command annotations.
 
 ``--deep`` additionally runs the whole-program passes (DET010 purity,
 RACE001/002 lock discipline, PERF001/002 hot loops) over a project-wide
@@ -24,7 +22,6 @@ import subprocess
 import sys
 from typing import List, Optional, Sequence, Set, TextIO
 
-from .baseline import apply_baseline, load_baseline, write_baseline
 from .deeprules import DEEP_RULES, run_deep
 from .engine import RULES, LintReport, iter_python_files, lint_paths
 from .findings import render_github, render_json, render_sarif, render_text
@@ -62,18 +59,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="REF",
         help="only report findings in files changed vs REF (default "
         "HEAD); falls back to a full run when git is unavailable",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="subtract grandfathered findings recorded in this file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="write the current findings as the new baseline and exit",
     )
     parser.add_argument(
         "--list-rules",
@@ -175,26 +160,7 @@ def run_lint(
 
     for error in report.parse_errors:
         print(f"parse error: {error}", file=sys.stderr)
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, report.findings)
-        print(
-            f"wrote {args.write_baseline} ({count} grandfathered findings)",
-            file=sys.stderr,
-        )
-        return 0
     findings = report.findings
-    stale: List[str] = []
-    grandfathered = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            print(f"baseline error: {exc}", file=sys.stderr)
-            return 2
-        findings, grandfathered, stale_set = apply_baseline(
-            findings, baseline
-        )
-        stale = sorted(stale_set)
     if args.format == "json":
         print(render_json(findings), file=out)
     elif args.format == "sarif":
@@ -208,18 +174,11 @@ def run_lint(
             print(rendered, file=out)
     elif findings:
         print(render_text(findings), file=out)
-    for fp in stale:
-        print(
-            f"stale baseline entry (finding fixed — remove it): {fp}",
-            file=sys.stderr,
-        )
-    summary = (
+    print(
         f"{len(findings)} finding(s) in {report.files_checked} file(s)"
-        f" [{report.suppressed} suppressed inline"
-        + (f", {grandfathered} baselined" if args.baseline else "")
-        + "]"
+        f" [{report.suppressed} suppressed inline]",
+        file=sys.stderr,
     )
-    print(summary, file=sys.stderr)
     if report.parse_errors:
         return 2
-    return 1 if findings or stale else 0
+    return 1 if findings else 0

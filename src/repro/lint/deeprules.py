@@ -7,7 +7,7 @@ rather than a single file's AST, so they live in their own registry
 
 The three analyses (DESIGN.md section 9 has the full contracts):
 
-* **DET010 transitive purity** — from the configured ``pure-roots``
+* **DET010 transitive purity** — from the configured ``pure_roots``
   (the simulation event loop, the gateway pipeline, phy interference),
   report every call path that reaches a wall-clock read, unseeded RNG,
   filesystem, or environment access.  The DET002 telemetry allowlist
@@ -53,7 +53,7 @@ from typing import (
     Tuple,
 )
 
-from .config import LintConfig, load_config
+from .config import DEFAULT_CONFIG, LintConfig
 from .engine import LintReport, is_suppressed
 from .findings import Finding
 from .program import (
@@ -61,9 +61,15 @@ from .program import (
     ClassInfo,
     FunctionInfo,
     ProgramIndex,
+    _canonical,
     build_program,
 )
-from .rules import _WALL_CLOCK_CALLS, _seed_argument_ok
+from .rules import (
+    _GLOBAL_STREAM_EXEMPT,
+    _NUMPY_SEEDED_FACTORIES,
+    _WALL_CLOCK_CALLS,
+    _seed_argument_ok,
+)
 
 __all__ = ["DeepRule", "DEEP_RULES", "deep_rule", "run_deep"]
 
@@ -128,13 +134,6 @@ def _is_boundary(fn: FunctionInfo, config: LintConfig) -> bool:
 # ---------------------------------------------------------------------------
 # DET010 — transitive purity from the configured roots
 
-_RNG_EXEMPT_CONSTRUCTORS = {"Random", "SystemRandom"}
-_NUMPY_SEEDED_FACTORIES = {
-    "default_rng",
-    "RandomState",
-    "Generator",
-    "SeedSequence",
-}
 _RNG_CALLS = {"os.urandom", "uuid.uuid4", "uuid.uuid1"}
 _FS_CALLS = {
     "open",
@@ -181,7 +180,7 @@ def _classify_impure(
         return ("unseeded RNG", f"{callee}()")
     if callee.startswith("random."):
         attr = callee.split(".", 1)[1]
-        if attr in _RNG_EXEMPT_CONSTRUCTORS:
+        if attr in _GLOBAL_STREAM_EXEMPT:
             if not _seed_argument_ok(call):
                 return ("unseeded RNG", f"{callee}() without a derived seed")
             return None
@@ -419,8 +418,6 @@ def _class_locks(
                 continue
             if not isinstance(node.value, ast.Call):
                 continue
-            from .program import _canonical  # local: avoid public surface
-
             callee = _canonical(node.value.func, aliases)
             kind = _LOCK_CONSTRUCTORS.get(callee or "")
             if kind is None:
@@ -759,8 +756,6 @@ def perf001_loop_allocation(
 ) -> Iterable[Finding]:
     for fn in _hot_functions(index, config):
         aliases = index.module_of(fn).aliases
-        from .program import _canonical
-
         for loop in _loops_of(fn):
             inner_loops = [
                 n for n in _loop_body_nodes(loop)
@@ -918,18 +913,18 @@ def perf002_repeated_chains(
 def run_deep(
     paths: Sequence[str],
     root: Optional[str] = None,
-    config: Optional[LintConfig] = None,
+    config: LintConfig = DEFAULT_CONFIG,
     rules: Optional[Sequence[DeepRule]] = None,
     report_only: Optional[Set[str]] = None,
 ) -> LintReport:
     """Run every deep rule over the program rooted at ``paths``.
 
-    ``report_only`` (repo-relative paths) restricts *reporting* — the
-    program index still spans all of ``paths`` so cross-module facts
-    stay sound — used by ``lint --deep --changed``.
+    ``config`` defaults to this tree's
+    :data:`~repro.lint.config.DEFAULT_CONFIG`.  ``report_only``
+    (repo-relative paths) restricts *reporting* — the program index
+    still spans all of ``paths`` so cross-module facts stay sound —
+    used by ``lint --deep --changed``.
     """
-    if config is None:
-        config = load_config(root)
     index = build_program(paths, root=root)
     report = LintReport(files_checked=len(index.modules))
     report.parse_errors.extend(index.parse_errors)

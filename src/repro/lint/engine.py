@@ -23,7 +23,7 @@ import tokenize
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .config import DEFAULT_CONFIG, LintConfig, load_config
+from .config import DEFAULT_CONFIG, LintConfig
 from .findings import Finding
 
 __all__ = [
@@ -179,7 +179,7 @@ def lint_source(
     relpath: str,
     source: str,
     rules: Optional[Sequence[Rule]] = None,
-    config: Optional[LintConfig] = None,
+    config: LintConfig = DEFAULT_CONFIG,
 ) -> LintReport:
     """Lint one in-memory file; the core primitive under :func:`lint_paths`."""
     report = LintReport(files_checked=1)
@@ -193,7 +193,7 @@ def lint_source(
         source=source,
         tree=tree,
         suppressions=parse_suppressions(source),
-        config=config if config is not None else DEFAULT_CONFIG,
+        config=config,
     )
     selected = list(RULES.values()) if rules is None else list(rules)
     for rule_ in selected:
@@ -254,20 +254,18 @@ def lint_paths(
     paths: Sequence[str],
     root: Optional[str] = None,
     rules: Optional[Sequence[Rule]] = None,
-    config: Optional[LintConfig] = None,
+    config: LintConfig = DEFAULT_CONFIG,
 ) -> LintReport:
     """Lint every Python file reachable from ``paths``.
 
     Importing :mod:`repro.lint.rules` (done lazily here) populates the
     registry, so callers that only ever use :func:`lint_paths` need no
-    explicit registration step.  When ``config`` is omitted, the
-    ``[tool.repro-lint]`` table of ``<root>/pyproject.toml`` is loaded
-    (compiled-in defaults when absent).
+    explicit registration step.  ``config`` defaults to this tree's
+    :data:`~repro.lint.config.DEFAULT_CONFIG`; ``root`` only anchors
+    relative ``paths`` and the reported repo-relative file names.
     """
     from . import rules as _rules  # noqa: F401  (registration side effect)
 
-    if config is None:
-        config = load_config(root)
     report = LintReport()
     for abspath, relpath in iter_python_files(paths, root=root):
         try:

@@ -1,11 +1,11 @@
 """Finding and report types for the determinism & invariant linter.
 
 A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.fingerprint` is the stable identity used by the baseline
-mechanism (:mod:`repro.lint.baseline`): rule id, repo-relative path and
+:meth:`Finding.fingerprint` is its stable identity in the JSON report
+and in SARIF's ``partialFingerprints``: rule id, repo-relative path and
 a short hash of the message — deliberately *excluding* the line number,
-so unrelated edits above a grandfathered finding do not churn the
-baseline file.
+so unrelated edits above a finding do not change its identity between
+runs.
 
 Renderers cover every CLI ``--format``: plain text, JSON, GitHub
 workflow commands (``::error file=...``, surfaced as PR annotations),
@@ -58,7 +58,7 @@ class Finding:
         return max(self.line, self.end_line)
 
     def fingerprint(self) -> str:
-        """Stable identity for baseline matching (line-number free)."""
+        """Stable identity across runs (line-number free)."""
         digest = hashlib.blake2b(
             f"{self.rule_id}:{self.path}:{self.message}".encode("utf-8"),
             digest_size=6,

@@ -4,7 +4,7 @@ Each rule encodes one invariant the reproduction's byte-for-byte claims
 rest on; DESIGN.md section 9 is the human-readable contract.  Rules are
 pure functions from a :class:`~repro.lint.engine.LintContext` to
 findings, registered by stable id so suppressions
-(``# repro: noqa[RULE-ID]``) and baselines survive refactors.
+(``# repro: noqa[RULE-ID]``) survive refactors.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from .engine import LintContext, rule
 from .findings import Finding
+from .program import _canonical
 
 __all__ = [
     "det001_seeded_rng",
@@ -51,22 +52,6 @@ def _import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
-def _canonical_name(
-    node: ast.AST, aliases: Dict[str, str]
-) -> Optional[str]:
-    """Canonical dotted path of a Name/Attribute chain, or None."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    root = aliases.get(cur.id, cur.id)
-    parts.append(root)
-    return ".".join(reversed(parts))
-
-
 def _enclosing_functions(
     tree: ast.Module,
 ) -> Dict[ast.AST, str]:
@@ -101,7 +86,7 @@ def _iter_defs(
 def _is_dataclass(node: ast.ClassDef, aliases: Dict[str, str]) -> bool:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        name = _canonical_name(target, aliases)
+        name = _canonical(target, aliases)
         if name in ("dataclass", "dataclasses.dataclass"):
             return True
     return False
@@ -140,7 +125,7 @@ def det001_seeded_rng(ctx: LintContext) -> Iterable[Finding]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _canonical_name(node.func, aliases)
+        name = _canonical(node.func, aliases)
         if name is None:
             continue
         if name.startswith("random."):
@@ -199,9 +184,9 @@ _WALL_CLOCK_CALLS = {
 
 # The telemetry allowlist itself — which modules *are* the telemetry
 # layer, and which (module path, enclosing def) pairs may read the wall
-# clock — lives in the ``[tool.repro-lint]`` table of pyproject.toml
-# (``wall-clock-modules`` / ``wall-clock-sites``) and arrives on the
-# context as ``ctx.config``.  Every allowlisted site must store its
+# clock — is ``LintConfig.wall_clock_modules`` / ``wall_clock_sites``
+# (``repro/lint/config.py``) and arrives on the context as
+# ``ctx.config``.  Every allowlisted site must store its
 # reading only into *_wall_s / *_rtt_s telemetry fields (or use it for
 # I/O retry deadlines, never simulated time).  Adding a site is a
 # reviewed change to the determinism contract — see DESIGN.md section 9.
@@ -216,7 +201,7 @@ def det002_wall_clock(ctx: LintContext) -> Iterable[Finding]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _canonical_name(node.func, aliases)
+        name = _canonical(node.func, aliases)
         if name is None:
             continue
         # `from datetime import datetime` then `datetime.now()` resolves
@@ -568,7 +553,7 @@ def obs002_metric_names(ctx: LintContext) -> Iterable[Finding]:
                 elif help_ and not seen_help:
                     families[name] = (kind, help_)
         else:
-            canon = _canonical_name(func, aliases)
+            canon = _canonical(func, aliases)
             if canon is None or canon not in _ALERT_RULE_CLASSES:
                 continue
             name = _literal_str(_call_arg(node, 0, "name"))

@@ -37,9 +37,13 @@ PACKAGES = [
 
 
 def _summary(obj) -> str:
-    doc = inspect.getdoc(obj) or ""
-    first = doc.strip().splitlines()[0] if doc.strip() else ""
-    return first
+    """The first paragraph of ``obj``'s docstring, on one line."""
+    lines: List[str] = []
+    for line in (inspect.getdoc(obj) or "").strip().splitlines():
+        if not line.strip():
+            break
+        lines.append(line.strip())
+    return " ".join(lines)
 
 
 def _signature(obj) -> str:

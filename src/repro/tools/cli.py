@@ -26,7 +26,6 @@ Usage::
     python -m repro.tools watch --campaign campaigns/fig02
     python -m repro.tools drill --seed 7 --max-recovery-s 2.0
     python -m repro.tools lint src tests --format json
-    python -m repro.tools lint --baseline lint-baseline.json
     python -m repro.tools lint src tests --deep
     python -m repro.tools lint src tests --deep --changed
     python -m repro.tools lint src tests --deep --format sarif > lint.sarif

@@ -4,7 +4,7 @@ The same call shape as ``det010_fail`` but deterministic: simulated
 time flows in as a parameter, RNG is derived from an explicit seed,
 and the only wall-clock read sits behind the configured telemetry
 boundary (``det010_pass_telem.py``, staged at ``src/repro/telem.py``
-and listed in ``wall-clock-modules``).  Expected: no findings.
+and listed in ``wall_clock_modules``).  Expected: no findings.
 """
 
 import random

@@ -1,6 +1,6 @@
 """DET010 fixture (telemetry boundary): staged at ``src/repro/telem.py``.
 
-Listed in the test config's ``wall-clock-modules``: its perf_counter
+Listed in the test config's ``wall_clock_modules``: its perf_counter
 reads are the telemetry layer's purpose, so the purity traversal stops
 here instead of reporting them.
 """

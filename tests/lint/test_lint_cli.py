@@ -72,39 +72,6 @@ class TestFormats:
             assert rule_id in out
 
 
-class TestBaselineFlow:
-    def test_write_then_apply_baseline(self, tree, capsys):
-        (tree / "bad.py").write_text(BAD_MODULE)
-        assert main(["lint", "src", "--write-baseline", "base.json"]) == 0
-        assert os.path.exists("base.json")
-        capsys.readouterr()
-        # Grandfathered: same findings now exit clean.
-        assert main(["lint", "src", "--baseline", "base.json"]) == 0
-        assert "1 baselined" in capsys.readouterr().err
-
-    def test_new_finding_still_fails_with_baseline(self, tree, capsys):
-        (tree / "bad.py").write_text(BAD_MODULE)
-        main(["lint", "src", "--write-baseline", "base.json"])
-        (tree / "worse.py").write_text(BAD_MODULE.replace("(0)", "()"))
-        capsys.readouterr()
-        assert main(["lint", "src", "--baseline", "base.json"]) == 1
-        assert "worse.py" in capsys.readouterr().out
-
-    def test_stale_baseline_entry_fails_the_run(self, tree, capsys):
-        (tree / "bad.py").write_text(BAD_MODULE)
-        main(["lint", "src", "--write-baseline", "base.json"])
-        (tree / "bad.py").write_text(CLEAN_MODULE)
-        capsys.readouterr()
-        assert main(["lint", "src", "--baseline", "base.json"]) == 1
-        assert "stale baseline entry" in capsys.readouterr().err
-
-    def test_malformed_baseline_exits_two(self, tree, capsys):
-        (tree / "ok.py").write_text(CLEAN_MODULE)
-        with open("base.json", "w") as fh:
-            fh.write("[]")
-        assert main(["lint", "src", "--baseline", "base.json"]) == 2
-
-
 RACY_MODULE = (
     "import threading\n"
     "\n"

@@ -1,48 +1,43 @@
-"""The CI gate: the shipped tree must lint clean against its baseline.
+"""The CI gate: the shipped tree must lint clean.
 
 This is the machine-checked form of the determinism contract (DESIGN.md
-section 9): zero non-baselined findings over ``src`` and ``tests``, no
-parse errors, and no stale grandfather entries left in the baseline.
+section 9): zero findings over ``src`` and ``tests`` and no parse
+errors.  There is no finding baseline: a finding is fixed or carries an
+inline, justified ``# repro: noqa[ID]``.
 """
 
 import os
 
-from repro.lint import (
-    apply_baseline,
-    build_program,
-    lint_paths,
-    load_baseline,
-    load_config,
-    run_deep,
-)
+import pytest
+
+from repro.lint import DEFAULT_CONFIG, build_program, lint_paths, run_deep
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 )
-BASELINE_PATH = os.path.join(REPO_ROOT, "lint-baseline.json")
+
+
+@pytest.fixture(scope="module")
+def src_index():
+    return build_program(["src"], root=REPO_ROOT)
 
 
 def test_repo_tree_lints_clean():
     report = lint_paths(["src", "tests"], root=REPO_ROOT)
     assert report.parse_errors == []
     assert report.files_checked > 100, "walker lost most of the tree"
-    baseline = load_baseline(BASELINE_PATH)
-    fresh, _, stale = apply_baseline(report.findings, baseline)
-    assert fresh == [], "new lint findings:\n" + "\n".join(
-        f"{f.path}:{f.line}: {f.rule_id} {f.message}" for f in fresh
-    )
-    assert stale == set(), (
-        "baseline entries whose findings are fixed; remove them from "
-        f"lint-baseline.json: {sorted(stale)}"
+    assert report.findings == [], "lint findings:\n" + "\n".join(
+        f"{f.path}:{f.line}: {f.rule_id} {f.message}"
+        for f in report.findings
     )
 
 
 def test_repo_tree_deep_lints_clean():
-    """The whole-program pass holds with no baseline at all.
+    """The whole-program pass holds over ``src``.
 
-    Deep findings are never grandfathered (DESIGN.md section 9.4):
-    their messages embed call chains, which churn with refactors, so a
-    true positive must be fixed or carry an inline justified noqa.
+    Deep findings embed call chains, which churn with refactors
+    (DESIGN.md section 9.4): a true positive must be fixed or carry an
+    inline justified noqa.
     """
     report = run_deep(["src"], root=REPO_ROOT)
     assert report.parse_errors == []
@@ -52,31 +47,46 @@ def test_repo_tree_deep_lints_clean():
     )
 
 
-def test_configured_pure_roots_resolve():
+def test_configured_pure_roots_resolve(src_index):
     """Every configured root must exist in the symbol table; a rename
     must not silently turn DET010/PERF into a no-op."""
-    config = load_config(REPO_ROOT)
-    index = build_program(["src"], root=REPO_ROOT)
     missing = [
-        root for root in config.pure_roots if root not in index.functions
+        root
+        for root in DEFAULT_CONFIG.pure_roots
+        if root not in src_index.functions
     ]
     assert missing == [], (
-        "pure-roots in pyproject.toml no longer resolve; update the "
-        f"[tool.repro-lint] table: {missing}"
+        "pure roots no longer resolve; update LintConfig's defaults in "
+        f"src/repro/lint/config.py: {missing}"
     )
     # And the traversal genuinely fans out — a linker regression that
     # strands the roots would silently gut the purity/perf passes.
-    chains = index.reachable_chains(list(config.pure_roots))
+    chains = src_index.reachable_chains(list(DEFAULT_CONFIG.pure_roots))
     assert len(chains) > 20, (
         f"only {len(chains)} functions reachable from the pure roots; "
         "the call-graph linker lost its edges"
     )
 
 
-def test_shipped_baseline_is_empty():
-    """The tree carries no grandfathered debt; keep it that way.
-
-    If you must add an entry, document the reason in DESIGN.md section 9
-    and delete this test's assertion in the same change.
-    """
-    assert load_baseline(BASELINE_PATH) == set()
+def test_configured_wall_clock_allowlist_resolves(src_index):
+    """Every allowlisted module is a linted file and every allowlisted
+    site a function defined in its file: a stale entry would keep
+    DET002's exemption and DET010's traversal cut for whatever later
+    takes that name."""
+    missing_modules = [
+        path
+        for path in DEFAULT_CONFIG.wall_clock_modules
+        if path not in src_index.modules
+    ]
+    defined = {
+        (fn.relpath, fn.name) for fn in src_index.functions.values()
+    }
+    missing_sites = [
+        site for site in DEFAULT_CONFIG.wall_clock_sites
+        if site not in defined
+    ]
+    assert missing_modules == [] and missing_sites == [], (
+        "wall-clock allowlist entries name no module or function; update "
+        "LintConfig's defaults in src/repro/lint/config.py: "
+        f"{missing_modules + missing_sites}"
+    )

@@ -266,14 +266,12 @@ class TestLintAllowlist:
         # as telemetry (wall readings land only in the "wall" section).
         import os
 
-        from repro.lint import lint_paths
-        from repro.lint.config import load_config
+        from repro.lint import DEFAULT_CONFIG, lint_paths
 
         root = os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
-        config = load_config(root)
-        assert "src/repro/obs/perf.py" in config.wall_clock_module_set
+        assert "src/repro/obs/perf.py" in DEFAULT_CONFIG.wall_clock_module_set
         report = lint_paths(["src/repro/obs/perf.py"], root=root)
         assert report.files_checked == 1
         assert [f for f in report.findings if f.rule_id == "DET002"] == []

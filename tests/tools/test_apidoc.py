@@ -1,8 +1,12 @@
 """Tests for the API-reference generator."""
 
+import pathlib
+
 import pytest
 
-from repro.tools.apidoc import PACKAGES, generate_api_docs, main
+from repro.tools.apidoc import PACKAGES, _summary, generate_api_docs, main
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestGeneration:
@@ -25,6 +29,18 @@ class TestGeneration:
         docs = generate_api_docs(["repro.analysis"])
         assert "Erlang-B blocking probability" in docs
 
+    def test_summary_is_the_whole_first_paragraph(self):
+        def wrapped():
+            """A summary sentence that wraps
+            onto a second line.
+
+            Details stay out of the summary.
+            """
+
+        assert _summary(wrapped) == (
+            "A summary sentence that wraps onto a second line."
+        )
+
     def test_single_package_subset(self):
         docs = generate_api_docs(["repro.phy"])
         assert "repro.core" not in docs
@@ -44,9 +60,7 @@ class TestGeneration:
 
     def test_committed_docs_fresh(self):
         """docs/API.md must match the live package (regenerate if not)."""
-        import pathlib
-
-        committed = pathlib.Path("docs/API.md")
+        committed = REPO_ROOT / "docs" / "API.md"
         if not committed.exists():
             pytest.skip("docs/API.md not present")
         assert committed.read_text() == generate_api_docs()
