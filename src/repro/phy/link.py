@@ -41,12 +41,31 @@ THERMAL_NOISE_DBM_HZ = -174.0
 DEFAULT_NOISE_FIGURE_DB = 6.0
 
 
+class _DrawText:
+    """Text derived from a :class:`Position`'s fields.
+
+    Declared on a plain (non-dataclass) base so the attribute is a typed
+    instance attribute but not a dataclass field: equality, hashing,
+    ``repr`` and :func:`dataclasses.asdict` see only ``x`` and ``y``.
+    """
+
+    draw_text: str  #: ``f"{x:.3f},{y:.3f}"``, what a shadowing draw hashes.
+
+
 @dataclass(frozen=True)
-class Position:
-    """A 2-D coordinate in meters."""
+class Position(_DrawText):
+    """A 2-D coordinate in meters.
+
+    ``draw_text`` is formatted once, at construction (and again by
+    :func:`dataclasses.replace`): every link draw of the position
+    hashes it.
+    """
 
     x: float
     y: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "draw_text", f"{self.x:.3f},{self.y:.3f}")
 
     def distance_to(self, other: "Position") -> float:
         """Euclidean distance in meters."""
@@ -112,16 +131,9 @@ class PathLossModel:
         )
 
 
-def _pair_hash(a: Position, b: Position, seed: int) -> float:
-    """A stable uniform(0,1) draw for an unordered position pair.
-
-    Shadowing must be symmetric and reproducible without storing state,
-    so it is derived from a hash of the (order-normalized) endpoints.
-    """
-    p, q = sorted([(a.x, a.y), (b.x, b.y)])
-    digest = hashlib.sha256(
-        f"{seed}:{p[0]:.3f},{p[1]:.3f}|{q[0]:.3f},{q[1]:.3f}".encode()
-    ).digest()
+def _uniform(text: str) -> float:
+    """A stable uniform(0,1) draw: the first 8 bytes of ``text``'s sha256."""
+    digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
@@ -151,10 +163,15 @@ class LogDistancePathLoss(PathLossModel):
         mean = self.pl0_db + 10.0 * self.exponent * math.log10(d / self.d0_m)
         if self.sigma_db <= 0:
             return mean
-        u = _pair_hash(a, b, self.seed)
-        # Box-Muller using two deterministic uniforms derived from u.
-        u1 = max(u, 1e-12)
-        u2 = _pair_hash(a, b, self.seed + 1)
+        # Shadowing must be symmetric and reproducible without storing
+        # state, so both uniforms hash the order-normalized endpoints
+        # (the order ``sorted`` gives their coordinate tuples).
+        if (b.x, b.y) < (a.x, a.y):
+            a, b = b, a
+        body = f"{a.draw_text}|{b.draw_text}"
+        # Box-Muller using two deterministic uniforms.
+        u1 = max(_uniform(f"{self.seed}:{body}"), 1e-12)
+        u2 = _uniform(f"{self.seed + 1}:{body}")
         gauss = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         return mean + self.sigma_db * gauss
 

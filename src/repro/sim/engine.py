@@ -76,6 +76,10 @@ class OnlineSimulator(Simulator):
         transmissions already carry their channels); this engine owns
         the gateway-side timeline: channel switches, reboot outages,
         injected crashes, decoder degradation, and backhaul loss.
+
+        The cyclic garbage collector is paused for the run, as in
+        :meth:`Simulator.run`: a run builds no reference cycles, so its
+        collections would find nothing to free.
         """
         logger.debug(
             "run_online: %d transmissions, %d gateways, %d reconfigurations",

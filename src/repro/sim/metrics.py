@@ -20,11 +20,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.plan import FaultPlan
-from ..gateway.gateway import Outcome
+from ..gateway.gateway import GatewayReception, Outcome
 from ..phy.channels import INDEX_BUCKET_HZ, Channel, bucket_reach, overlap_ratio
 from ..phy.interference import DETECTION_MIN_OVERLAP
 from ..types import Transmission
@@ -288,15 +289,15 @@ def outcome_counts(
     ``gateway_offline`` and ``backhaul_lost`` — so chaos runs can audit
     exactly where packets died.
     """
-    counts: Counter = Counter(
-        [
-            rec.outcome
-            for records in result.receptions.values()
-            for rec in records
-            if gateway_id is None or rec.gateway_id == gateway_id
-        ]
+    records: Iterable[GatewayReception] = chain.from_iterable(
+        result.receptions.values()
     )
-    return dict(sorted((outcome.value, n) for outcome, n in counts.items()))
+    if gateway_id is not None:
+        records = [rec for rec in records if rec.gateway_id == gateway_id]
+    # ``_value_`` is the enum's documented value attribute: a plain
+    # attribute read, where hashing the member is a Python-level call.
+    counts = Counter([rec.outcome._value_ for rec in records])
+    return dict(sorted(counts.items()))
 
 
 def bucketed_prr(

@@ -10,6 +10,7 @@ LoRaWAN has no user-gateway association).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -170,7 +171,12 @@ class Simulator:
         return medium.hearing(gateway)
 
     def run(self, transmissions: Sequence[Transmission]) -> SimulationResult:
-        """Simulate one window of traffic across all gateways."""
+        """Simulate one window of traffic across all gateways.
+
+        The cyclic garbage collector is paused for the run: a run builds
+        no reference cycles, so its collections would find nothing to
+        free.
+        """
         return self._run(transmissions)
 
     def _run(
@@ -185,38 +191,51 @@ class Simulator:
         its timeline in ``timelines`` (by gateway id) and
         ``fault_plan``'s backhaul faults.  Only an online run passes
         ``timelines``.
+
+        The cyclic garbage collector is off for the whole body, and back
+        on afterwards only if it was on at entry (the :mod:`timeit`
+        pattern).  A run keeps every reception record alive until it
+        returns and builds no reference cycles, so the collections the
+        allocations would trigger find nothing to free.
         """
-        online = timelines is not None
-        result = SimulationResult(
-            transmissions=list(transmissions), gateways=self.gateways
-        )
-        rec = _obs.TRACE
-        run_index = rec.next_run_index() if rec is not None else 0
-        if rec is not None:
-            rec.emit(
-                EventType.SIM_RUN_START,
-                run=run_index,
-                txs=len(result.transmissions),
-                gateways=len(self.gateways),
-                online=online,
+        enabled = gc.isenabled()
+        if enabled:
+            gc.disable()
+        try:
+            online = timelines is not None
+            result = SimulationResult(
+                transmissions=list(transmissions), gateways=self.gateways
             )
-        probe = _obs.PERF
-        if probe is not None:
-            probe.note_run(
-                len(result.transmissions),
-                min((t.start_s for t in result.transmissions), default=0.0),
-                max((t.end_s for t in result.transmissions), default=0.0),
-            )
-        slots = record_slots(result)
-        medium = self.medium(result.transmissions)
-        for gw in self.gateways:
-            with phase_timed(Phase.OBSERVE, items=len(transmissions)):
-                view = self.observations_at(gw, transmissions, medium)
-            timeline = timelines.get(gw.gateway_id, ()) if timelines else ()
-            records = gw.receive(view, timeline, fault_plan)
-            with phase_timed(Phase.COLLECT, items=len(records)):
-                for record in records:
-                    slots[id(record.transmission)].append(record)
-        if rec is not None:
-            rec.emit(EventType.SIM_RUN_END, run=run_index)
-        return result
+            rec = _obs.TRACE
+            run_index = rec.next_run_index() if rec is not None else 0
+            if rec is not None:
+                rec.emit(
+                    EventType.SIM_RUN_START,
+                    run=run_index,
+                    txs=len(result.transmissions),
+                    gateways=len(self.gateways),
+                    online=online,
+                )
+            probe = _obs.PERF
+            if probe is not None:
+                probe.note_run(
+                    len(result.transmissions),
+                    min((t.start_s for t in result.transmissions), default=0.0),
+                    max((t.end_s for t in result.transmissions), default=0.0),
+                )
+            slots = record_slots(result)
+            medium = self.medium(result.transmissions)
+            for gw in self.gateways:
+                with phase_timed(Phase.OBSERVE, items=len(transmissions)):
+                    view = self.observations_at(gw, transmissions, medium)
+                timeline = timelines.get(gw.gateway_id, ()) if timelines else ()
+                records = gw.receive(view, timeline, fault_plan)
+                with phase_timed(Phase.COLLECT, items=len(records)):
+                    for record in records:
+                        slots[id(record.transmission)].append(record)
+            if rec is not None:
+                rec.emit(EventType.SIM_RUN_END, run=run_index)
+            return result
+        finally:
+            if enabled:
+                gc.enable()

@@ -1,6 +1,10 @@
 """Tests for the link budget: path loss, sensitivity, tiers, antennas."""
 
+import dataclasses
+import hashlib
 import math
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +40,19 @@ class TestPosition:
     def test_bearing_in_range(self, x, y):
         b = Position(0, 0).bearing_to(Position(x, y))
         assert 0.0 <= b < 360.0
+
+    def test_draw_text_is_not_a_field(self):
+        a = Position(12.3455, -0.0)
+        assert a.draw_text == f"{12.3455:.3f},{-0.0:.3f}"
+        assert a == Position(12.3455, 0.0) and hash(a) == hash(Position(12.3455, 0))
+        assert repr(a) == "Position(x=12.3455, y=-0.0)"
+        assert dataclasses.asdict(a) == {"x": 12.3455, "y": -0.0}
+        back = pickle.loads(pickle.dumps(a))
+        assert back == a and back.draw_text == a.draw_text
+        moved = dataclasses.replace(a, y=2.5)
+        assert moved.draw_text == f"{12.3455:.3f},{2.5:.3f}"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.draw_text = ""
 
 
 class TestNoise:
@@ -101,6 +118,72 @@ class TestLogDistance:
         other = LogDistancePathLoss(sigma_db=0.0, seed=2)
         a, b = Position(0, 0), Position(500, 100)
         assert model.path_loss_db(a, b) == other.path_loss_db(a, b)
+
+
+def _reference_pair_hash(a, b, seed):
+    """The per-draw expression the shadowing draws must equal bit for bit."""
+    p, q = sorted([(a.x, a.y), (b.x, b.y)])
+    digest = hashlib.sha256(
+        f"{seed}:{p[0]:.3f},{p[1]:.3f}|{q[0]:.3f},{q[1]:.3f}".encode()
+    ).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)
+
+
+def _reference_path_loss_db(model, a, b):
+    d = max(a.distance_to(b), 1.0)
+    mean = model.pl0_db + 10.0 * model.exponent * math.log10(d / model.d0_m)
+    u1 = max(_reference_pair_hash(a, b, model.seed), 1e-12)
+    u2 = _reference_pair_hash(a, b, model.seed + 1)
+    gauss = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return mean + model.sigma_db * gauss
+
+
+def _coordinate(rng):
+    kind = rng.randrange(5)
+    if kind == 0:  # on a .3f rounding boundary, as 12.3455 is
+        return rng.randrange(-3_000_000, 3_000_000) / 1000.0 + 0.0005
+    if kind == 1:  # whole metres, negative or not
+        return float(rng.randrange(-2000, 2000))
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 12.3455, -12.3455, 0.0005, -0.0005])
+    return rng.uniform(-3000.0, 3000.0)
+
+
+def _link_pairs(count, seed=11):
+    rng = random.Random(seed)
+    pairs = [
+        (Position(12.3455, 0.0), Position(12.3455, 0.0)),  # identical
+        (Position(-0.0, 5.0), Position(0.0, 5.0)),  # equal, unlike text
+        (Position(0.0, -0.0), Position(-0.0, 0.0)),
+        (Position(12.3455, 1.0), Position(12.3455, -1.0)),  # equal x
+        (Position(-12.3455, -7.0), Position(-12.3445, -7.0)),
+    ]
+    while len(pairs) < count:
+        a = Position(_coordinate(rng), _coordinate(rng))
+        kind = rng.randrange(4)
+        if kind == 0:
+            b = Position(a.x, _coordinate(rng))  # equal x, y differs
+        elif kind == 1:
+            b = Position(a.x, a.y)  # identical point
+        else:
+            b = Position(_coordinate(rng), _coordinate(rng))
+        pairs.append((a, b))
+    return pairs
+
+
+class TestLinkDraws:
+    """The shadowing draws equal the per-draw reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical_to_the_reference(self, seed):
+        model = LogDistancePathLoss(sigma_db=2.0, seed=seed)
+        for a, b in _link_pairs(10_000):
+            for p, q in ((a, b), (b, a)):
+                got = model.path_loss_db(p, q)
+                assert got.hex() == _reference_path_loss_db(model, p, q).hex(), (
+                    p,
+                    q,
+                )
 
 
 class TestMaxRange:

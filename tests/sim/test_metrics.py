@@ -1,9 +1,13 @@
 """Tests for loss classification and metrics."""
 
+from collections import Counter
+
 import pytest
 
+from repro.faults import BackhaulFault, FaultPlan, GatewayCrash
 from repro.node.traffic import capacity_burst
 from repro.phy.lora import DataRate
+from repro.sim.engine import OnlineSimulator
 from repro.sim.metrics import (
     CollisionIndex,
     LossCause,
@@ -135,6 +139,17 @@ class TestSpectrumUtilization:
             assert count >= 1
 
 
+def _enum_keyed_counts(result, gateway_id=None):
+    """The tally keyed by ``Outcome`` member that ``outcome_counts`` equals."""
+    counts = Counter(
+        rec.outcome
+        for records in result.receptions.values()
+        for rec in records
+        if gateway_id is None or rec.gateway_id == gateway_id
+    )
+    return dict(sorted((outcome.value, n) for outcome, n in counts.items()))
+
+
 class TestOutcomeCounts:
     def test_counts_every_record_and_each_gateway_alone(self, plan_16, link):
         net = build_network(
@@ -158,6 +173,27 @@ class TestOutcomeCounts:
             total += sum(mine.values())
         assert total == len(records) > 0
         assert outcome_counts(result, gateway_id=999) == {}
+
+    def test_equals_the_enum_keyed_tally_batch_and_online(self, plan_16, link):
+        net = build_network(
+            1, 3, 12, list(plan_16), seed=0, width_m=400, height_m=400
+        )
+        burst = capacity_burst(net.devices)
+        start = min(tx.start_s for tx in burst)
+        plan = FaultPlan(
+            seed=2,
+            gateway_crashes=(GatewayCrash(time_s=start, gateway_id=1, down_s=10.0),),
+            backhaul_faults=(BackhaulFault(gateway_id=2, drop_prob=0.5),),
+        )
+        sim = OnlineSimulator(net.gateways, net.devices, link=link)
+        online = sim.run_online(burst, fault_plan=plan)
+        assert {"gateway_offline", "backhaul_lost"} <= set(outcome_counts(online))
+        gateway_ids = [None, 999] + [gw.gateway_id for gw in net.gateways]
+        for result in (sim.run(burst), online):
+            for gateway_id in gateway_ids:
+                got = outcome_counts(result, gateway_id)
+                want = _enum_keyed_counts(result, gateway_id)
+                assert got == want and list(got) == list(want)
 
 
 class TestServiceRatio:
@@ -199,3 +235,4 @@ class TestCollisionIndex:
         b = Transmission(2, 2, ch, SpreadingFactor.SF8, 10.0, 20)
         index = CollisionIndex([a, b])
         assert index.interferer_networks(a) == []
+
