@@ -38,7 +38,6 @@ from ..phy.regions import TESTBED_16
 from ..sim.engine import OnlineSimulator
 from ..sim.metrics import (
     bucketed_prr,
-    degraded_time_s,
     outcome_counts,
     retry_delivery_breakdown,
     time_to_recover_s,
@@ -222,7 +221,7 @@ def run_chaos(
         "time_to_recover_s": time_to_recover_s(
             res.result, CRASH_S, WINDOW_S, bucket_s=BUCKET_S, threshold=threshold
         ),
-        "degraded_time_s": degraded_time_s(plan, WINDOW_S),
+        "degraded_time_s": plan.degraded_time_s(WINDOW_S),
         "unique_frames_delivered": len(netserver.received_node_ids()),
     }
 

@@ -40,10 +40,6 @@ PHYSICAL_DEVICES = 240
 DEVICES_PER_NETWORK = 60
 
 
-def _breakdown_dict(result, network_id=None) -> Dict[str, float]:
-    return breakdown_ratios(result, network_id=network_id)
-
-
 def run_fig4a(
     seed: int = 0,
     user_scales: Sequence[int] = (500, 1000, 2000, 3000, 4000, 6000, 8000),
@@ -74,7 +70,7 @@ def run_fig4a(
             seed=seed + idx,
         )
         sim = Simulator(net.gateways, net.devices, link=link)
-        rows.append(_breakdown_dict(sim.run(txs)))
+        rows.append(breakdown_ratios(sim.run(txs)))
     return {"users": list(user_scales), "breakdown": rows}
 
 
@@ -121,5 +117,5 @@ def run_fig4b(
         txs.sort(key=lambda t: t.start_s)
         sim = Simulator(gateways, devices, link=link)
         result = sim.run(txs)
-        rows.append(_breakdown_dict(result))
+        rows.append(breakdown_ratios(result))
     return {"networks": list(network_counts), "breakdown": rows}

@@ -40,22 +40,20 @@ class Detection(NamedTuple):
 class RxChannels(Tuple[Channel, ...]):
     """A receive-channel sequence that memoizes :func:`match_rx_channel`.
 
-    The front-end match depends only on the packet channel, the channel
-    sequence (its order breaks overlap ties) and ``min_overlap``, so a
-    gateway answers it once per distinct packet channel instead of once
-    per observation.  The memo lives and dies with the sequence:
+    The front-end match depends only on the packet channel and the
+    channel sequence (its order breaks overlap ties), so a gateway
+    answers it once per distinct packet channel instead of once per
+    observation.  The memo lives and dies with the sequence:
     :meth:`Gateway.configure <repro.gateway.gateway.Gateway.configure>`
     builds a new one.  Otherwise it is an ordinary tuple.
     """
 
     def __init__(self, channels: Iterable[Channel] = ()) -> None:
-        self.matches: Dict[Tuple[float, float, float], Optional[Channel]] = {}
+        self.matches: Dict[Tuple[float, float], Optional[Channel]] = {}
 
 
 def _best_match(
-    packet_channel: Channel,
-    rx_channels: Sequence[Channel],
-    min_overlap: float,
+    packet_channel: Channel, rx_channels: Sequence[Channel]
 ) -> Optional[Channel]:
     best: Optional[Channel] = None
     best_overlap = 0.0
@@ -63,31 +61,30 @@ def _best_match(
         ov = overlap_ratio(packet_channel, rx)
         if ov > best_overlap:
             best, best_overlap = rx, ov
-    if best is not None and best_overlap >= min_overlap:
+    if best is not None and best_overlap >= DETECTION_MIN_OVERLAP:
         return best
     return None
 
 
 def match_rx_channel(
-    packet_channel: Channel,
-    rx_channels: Sequence[Channel],
-    min_overlap: float = DETECTION_MIN_OVERLAP,
+    packet_channel: Channel, rx_channels: Sequence[Channel]
 ) -> Optional[Channel]:
     """Find the receive channel (if any) that passes this packet.
 
     Returns the configured channel with the highest spectral overlap
     (the first one on ties), provided the overlap reaches
-    ``min_overlap``; otherwise ``None`` — the front-end truncates the
-    signal and the packet is invisible to the rest of the pipeline.
+    :data:`~repro.phy.interference.DETECTION_MIN_OVERLAP`; otherwise
+    ``None`` — the front-end truncates the signal and the packet is
+    invisible to the rest of the pipeline.
     Answers for an :class:`RxChannels` sequence come from its memo.
     """
     if not isinstance(rx_channels, RxChannels):
-        return _best_match(packet_channel, rx_channels, min_overlap)
-    key = (packet_channel.center_hz, packet_channel.bandwidth_hz, min_overlap)
+        return _best_match(packet_channel, rx_channels)
+    key = (packet_channel.center_hz, packet_channel.bandwidth_hz)
     try:
         return rx_channels.matches[key]
     except KeyError:
-        found = _best_match(packet_channel, rx_channels, min_overlap)
+        found = _best_match(packet_channel, rx_channels)
         rx_channels.matches[key] = found
         return found
 
@@ -96,7 +93,6 @@ def detect(
     observation: Observation,
     rx_channels: Sequence[Channel],
     noise_figure_db: float = 6.0,
-    min_overlap: float = DETECTION_MIN_OVERLAP,
 ) -> Optional[Detection]:
     """Run front-end matching and preamble detection for one packet.
 
@@ -110,7 +106,7 @@ def detect(
         the packet cannot be seen by this gateway at all.
     """
     tx = observation.transmission
-    rx_channel = match_rx_channel(tx.channel, rx_channels, min_overlap)
+    rx_channel = match_rx_channel(tx.channel, rx_channels)
     if rx_channel is None:
         return None
     noise = noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure_db)

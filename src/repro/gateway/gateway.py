@@ -61,7 +61,8 @@ __all__ = [
 # (tx, start_s, end_s, low_hz, high_hz, position, sf, channel,
 # network_id).  ``position`` is the transmission's place in the indexed
 # sequence; rows sort by start_s (then by position).  Rows carry no
-# RSSI: the same index serves every gateway of a run.
+# RSSI: the same index serves every gateway of a run, and loss
+# attribution (``repro.sim.metrics``).
 _Row = Tuple[
     Transmission, float, float, float, float, int,
     SpreadingFactor, Channel, int,
@@ -94,6 +95,86 @@ def _run_order(
     ids: Dict[Channel, int] = {}
     channel_ids = [ids.setdefault(tx.channel, len(ids)) for tx in transmissions]
     return sorted(range(len(keys)), key=keys.__getitem__), channel_ids, list(ids)
+
+
+def _build_time_index(transmissions: Sequence[Transmission]) -> _TimeIndex:
+    """Index transmissions by frequency bucket and start time.
+
+    Keeps the scaled-operation scenarios (tens of thousands of packets)
+    near linear: :func:`_overlapping_rows` scans only time-adjacent
+    packets in frequency-adjacent buckets, as many on each side as the
+    widest indexed bandwidth needs
+    (:func:`~repro.phy.channels.bucket_reach`).  Each row carries the
+    packet's time span and passband edges, so the scan compares floats
+    instead of re-deriving them per candidate.  A simulated run indexes
+    its transmissions once for all gateways
+    (:class:`~repro.sim.medium.Medium`); a batch handed to
+    :meth:`Gateway.receive` alone is indexed on its own; loss
+    attribution indexes a result's transmissions
+    (:func:`~repro.sim.metrics.classify_loss`).  The index also holds,
+    per position, the rows :meth:`Gateway._interferers_for` finds for
+    that packet, ``None`` until its first call.
+    """
+    buckets: Dict[int, List[_Row]] = {}
+    widest = 0.0
+    for position, tx in enumerate(transmissions):
+        channel = tx.channel
+        key = int(channel.center_hz // INDEX_BUCKET_HZ)
+        row: _Row = (
+            tx, tx.start_s, tx.end_s, channel.low_hz, channel.high_hz,
+            position, tx.sf, channel, tx.network_id,
+        )
+        buckets.setdefault(key, []).append(row)
+        if channel.bandwidth_hz > widest:
+            widest = channel.bandwidth_hz
+    index: Dict[int, Tuple[List[_Row], List[float], float]] = {}
+    for key, rows in buckets.items():
+        rows.sort(key=_row_start_s)
+        starts = [row[1] for row in rows]
+        max_airtime = max(row[0].airtime_s for row in rows)
+        index[key] = (rows, starts, max_airtime)
+    overlapping: List[Optional[List[_Row]]] = [None] * len(transmissions)
+    return index, bucket_reach(widest), overlapping
+
+
+def _overlapping_rows(index: _TimeIndex, me: Transmission) -> List[_Row]:
+    """The index rows that overlap ``me`` both in time and in passband,
+    ``me`` itself left out.
+
+    ``min(ends) <= max(starts)`` is the exact negation of
+    :func:`~repro.types.time_overlap_s` being positive (for finite
+    floats ``x - y <= 0`` holds exactly when ``x <= y``), and likewise
+    for the passband edges and :func:`~repro.phy.channels.overlap_hz`.
+    Rows come out bucket by bucket upwards, each bucket in (start,
+    position) order.
+    """
+    buckets, reach, _ = index
+    me_start, me_end = me.start_s, me.end_s
+    channel = me.channel
+    me_low, me_high = channel.low_hz, channel.high_hz
+    center_key = int(channel.center_hz // INDEX_BUCKET_HZ)
+    found: List[_Row] = []
+    for key in range(center_key - reach, center_key + reach + 1):
+        entry = buckets.get(key)
+        if entry is None:
+            continue
+        rows, starts, max_airtime = entry
+        lo = bisect_left(starts, me_start - max_airtime)
+        hi = bisect_right(starts, me_end)
+        for row in rows[lo:hi]:
+            tx, start, end, low, high, _pos, _sf, _chan, _net = row
+            if tx is me:
+                continue
+            if (end if end < me_end else me_end) <= (
+                start if start > me_start else me_start
+            ):
+                continue
+            if (high if high < me_high else me_high) <= (
+                low if low > me_low else me_low
+            ):
+                continue
+            found.append(row)
+    return found
 
 
 @dataclass(frozen=True)
@@ -256,51 +337,13 @@ class Gateway:
             ).inc()
 
     @staticmethod
-    def _build_time_index(transmissions: Sequence[Transmission]) -> _TimeIndex:
-        """Index transmissions by frequency bucket and start time.
-
-        Keeps the scaled-operation scenarios (tens of thousands of
-        packets) near linear: interference lookups scan only
-        time-adjacent packets in frequency-adjacent buckets, as many on
-        each side as the widest indexed bandwidth needs
-        (:func:`~repro.phy.channels.bucket_reach`).  Each row carries
-        the packet's time span and passband edges, so the scan compares
-        floats instead of re-deriving them per candidate.  A simulated
-        run indexes its transmissions once for all gateways
-        (:class:`~repro.sim.medium.Medium`); a batch handed to
-        :meth:`receive` alone is indexed on its own.  The index also
-        holds, per position, the rows :meth:`_interferers_for` finds
-        for that packet, ``None`` until its first call.
-        """
-        buckets: Dict[int, List[_Row]] = {}
-        widest = 0.0
-        for position, tx in enumerate(transmissions):
-            channel = tx.channel
-            key = int(channel.center_hz // INDEX_BUCKET_HZ)
-            row: _Row = (
-                tx, tx.start_s, tx.end_s, channel.low_hz, channel.high_hz,
-                position, tx.sf, channel, tx.network_id,
-            )
-            buckets.setdefault(key, []).append(row)
-            if channel.bandwidth_hz > widest:
-                widest = channel.bandwidth_hz
-        index: Dict[int, Tuple[List[_Row], List[float], float]] = {}
-        for key, rows in buckets.items():
-            rows.sort(key=_row_start_s)
-            starts = [row[1] for row in rows]
-            max_airtime = max(row[0].airtime_s for row in rows)
-            index[key] = (rows, starts, max_airtime)
-        overlapping: List[Optional[List[_Row]]] = [None] * len(transmissions)
-        return index, bucket_reach(widest), overlapping
-
-    @staticmethod
     def _hearing(observations: Sequence[Observation]) -> Hearing:
         """A batch heard on its own: indexed alone, every packet audible."""
         txs = [obs.transmission for obs in observations]
         order, channel_ids, channels = _run_order(txs)
         return Hearing(
             txs, [obs.rssi_dbm for obs in observations], order, channel_ids,
-            channels, Gateway._build_time_index(txs),
+            channels, _build_time_index(txs),
         )
 
     def _interferers_for(self, p: int, hearing: Hearing) -> List[Interferer]:
@@ -308,48 +351,19 @@ class Gateway:
         passband, ``p`` being its position in the run.
 
         A candidate counts when it overlaps the packet both in time and
-        in frequency and this gateway hears it.  ``min(ends) <=
-        max(starts)`` is the exact negation of
-        :func:`~repro.types.time_overlap_s` being positive (for finite
-        floats ``x - y <= 0`` holds exactly when ``x <= y``), and
-        likewise for the passband edges and
-        :func:`~repro.phy.channels.overlap_hz`.  Which rows overlap
-        depends only on the run, so the first call for ``p`` at any
-        gateway scans the index and stores them, before the heard
-        filter; later calls walk the stored rows.  Interferers come out
-        bucket by bucket upwards, each bucket in (start, position)
-        order: skipping the packets a gateway does not hear leaves the
-        order its own batch's index would give.
+        in frequency (:func:`_overlapping_rows`) and this gateway hears
+        it.  Which rows overlap depends only on the run, so the first
+        call for ``p`` at any gateway scans the index and stores them,
+        before the heard filter; later calls walk the stored rows.
+        Interferers come out bucket by bucket upwards, each bucket in
+        (start, position) order: skipping the packets a gateway does
+        not hear leaves the order its own batch's index would give.
         """
-        buckets, reach, overlapping = hearing.index
+        index = hearing.index
         me = hearing.transmissions[p]
-        found = overlapping[p]
+        found = index[2][p]
         if found is None:
-            found = overlapping[p] = []
-            me_start, me_end = me.start_s, me.end_s
-            channel = me.channel
-            me_low, me_high = channel.low_hz, channel.high_hz
-            center_key = int(channel.center_hz // INDEX_BUCKET_HZ)
-            for key in range(center_key - reach, center_key + reach + 1):
-                entry = buckets.get(key)
-                if entry is None:
-                    continue
-                rows, starts, max_airtime = entry
-                lo = bisect_left(starts, me_start - max_airtime)
-                hi = bisect_right(starts, me_end)
-                for row in rows[lo:hi]:
-                    tx, start, end, low, high, _pos, _sf, _chan, _net = row
-                    if tx is me:
-                        continue
-                    if (end if end < me_end else me_end) <= (
-                        start if start > me_start else me_start
-                    ):
-                        continue
-                    if (high if high < me_high else me_high) <= (
-                        low if low > me_low else me_low
-                    ):
-                        continue
-                    found.append(row)
+            found = index[2][p] = _overlapping_rows(index, me)
         heard = hearing.rssi_dbm
         me_net = me.network_id
         interferers: List[Interferer] = []

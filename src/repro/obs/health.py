@@ -752,12 +752,14 @@ class HealthMonitor:
 
     # -- offline replay ----------------------------------------------------
 
-    def replay(self, events: Iterable[Mapping[str, Any]]) -> "HealthMonitor":
-        """Feed loaded JSONL trace events (wire shape) through the monitor.
+    def ingest(self, events: Iterable[Mapping[str, Any]]) -> int:
+        """Feed decoded trace events (wire shape) through the monitor.
 
-        Returns ``self`` so ``HealthMonitor().replay(load_trace(p))``
-        reads naturally.  The manifest line is skipped.
+        The manifest line and events without a string ``type`` are
+        skipped.  Returns how many events were taken; alert rules are
+        not evaluated (see :meth:`evaluate`).
         """
+        taken = 0
         for ev in events:
             etype = ev.get("type")
             if not isinstance(etype, str) or etype == EventType.MANIFEST:
@@ -767,6 +769,17 @@ class HealthMonitor:
                 k: v for k, v in ev.items() if k not in ("seq", "type", "t")
             }
             self.observe_event(etype, t if isinstance(t, (int, float)) else None, fields)
+            taken += 1
+        return taken
+
+    def replay(self, events: Iterable[Mapping[str, Any]]) -> "HealthMonitor":
+        """Feed loaded JSONL trace events through the monitor, then
+        evaluate its rules.
+
+        Returns ``self`` so ``HealthMonitor().replay(load_trace(p))``
+        reads naturally.  The manifest line is skipped.
+        """
+        self.ingest(events)
         self.evaluate()
         return self
 

@@ -49,7 +49,7 @@ class _DrawText:
     ``repr`` and :func:`dataclasses.asdict` see only ``x`` and ``y``.
     """
 
-    draw_text: str  #: ``f"{x:.3f},{y:.3f}"``, what a shadowing draw hashes.
+    draw_text: str  #: ``f"{x + 0.0:.3f},{y + 0.0:.3f}"``, what a draw hashes.
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,17 @@ class Position(_DrawText):
 
     ``draw_text`` is formatted once, at construction (and again by
     :func:`dataclasses.replace`): every link draw of the position
-    hashes it.
+    hashes it.  Adding ``0.0`` turns ``-0.0`` into ``0.0`` and leaves
+    every other coordinate as it is, so equal positions format alike.
     """
 
     x: float
     y: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "draw_text", f"{self.x:.3f},{self.y:.3f}")
+        object.__setattr__(
+            self, "draw_text", f"{self.x + 0.0:.3f},{self.y + 0.0:.3f}"
+        )
 
     def distance_to(self, other: "Position") -> float:
         """Euclidean distance in meters."""

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from .metrics import (
-    CollisionIndex,
     LossBreakdown,
     LossCause,
     bucketed_prr,
     classify_loss,
-    degraded_time_s,
     loss_breakdown,
     outcome_counts,
     retry_delivery_breakdown,
@@ -38,9 +36,9 @@ from .topology import (
 )
 
 __all__ = [
-    "CollisionIndex", "LossBreakdown", "LossCause", "classify_loss", "loss_breakdown",
+    "LossBreakdown", "LossCause", "classify_loss", "loss_breakdown",
     "service_ratio", "spectrum_utilization", "throughput_bps",
-    "bucketed_prr", "degraded_time_s", "outcome_counts",
+    "bucketed_prr", "outcome_counts",
     "retry_delivery_breakdown", "time_to_recover_s",
     "ResilientResult", "run_with_retransmissions",
     "Network", "all_combos", "assign_orthogonal_combos",

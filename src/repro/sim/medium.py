@@ -12,8 +12,8 @@ once, not once per gateway:
   packets, restricted to what each gateway hears, and one numbering
   of the run's distinct packet channels.
 * **Interference index.**  One
-  :meth:`~repro.gateway.gateway.Gateway._build_time_index` over the
-  run's transmissions.  Its rows carry no RSSI; each gateway reads it
+  :func:`~repro.gateway.gateway._build_time_index` over the run's
+  transmissions.  Its rows carry no RSSI; each gateway reads it
   through its own RSSI row, skipping what it does not hear.
 
 :meth:`Medium.hearing` hands a gateway all of this as its
@@ -27,7 +27,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..gateway.gateway import Gateway, Hearing, _run_order, _TimeIndex
+from ..gateway.gateway import (
+    Gateway,
+    Hearing,
+    _build_time_index,
+    _run_order,
+    _TimeIndex,
+)
 from ..node.device import EndDevice
 from ..phy.channels import Channel
 from ..phy.link import Position, noise_floor_dbm
@@ -145,7 +151,7 @@ class Medium:
             run_order, channel_ids, channels = _run_order(txs)
             self._run = (
                 np.array(run_order, dtype=np.intp), channel_ids, channels,
-                Gateway._build_time_index(txs),
+                _build_time_index(txs),
             )
         order, channel_ids, channels, index = self._run
         heard = row >= (

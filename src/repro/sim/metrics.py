@@ -9,30 +9,34 @@ the paper uses when dissecting operational logs:
    networks held the decoders at the rejection instant.
 2. **Channel contention** — the packet was admitted somewhere but the
    decode failed under co-channel interference (collision); split by
-   the interfering networks.
+   the networks of its co-SF, co-channel partners, found in the
+   reception kernel's interference index
+   (:func:`~repro.gateway.gateway._build_time_index`).
 3. **Other** — out of range, below sensitivity, or frequency-mismatched
    everywhere (noise, poor SNR, etc.).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from operator import itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..faults.plan import FaultPlan
-from ..gateway.gateway import GatewayReception, Outcome
-from ..phy.channels import INDEX_BUCKET_HZ, Channel, bucket_reach, overlap_ratio
+from ..gateway.gateway import (
+    GatewayReception,
+    Outcome,
+    _build_time_index,
+    _overlapping_rows,
+    _TimeIndex,
+)
+from ..phy.channels import Channel, overlap_ratio
 from ..phy.interference import DETECTION_MIN_OVERLAP
 from ..types import Transmission
 from .simulator import SimulationResult
 
 __all__ = [
-    "CollisionIndex",
     "LossCause",
     "classify_loss",
     "LossBreakdown",
@@ -45,7 +49,6 @@ __all__ = [
     "bucketed_prr",
     "retry_delivery_breakdown",
     "time_to_recover_s",
-    "degraded_time_s",
 ]
 
 
@@ -60,94 +63,34 @@ class LossCause(Enum):
     OTHER = "other"
 
 
-# One collision-index row per transmission: (tx, start_s, end_s,
-# low_hz, high_hz, bandwidth_hz, network_id).
-_CollisionRow = Tuple[Transmission, float, float, float, float, float, int]
+def _partner_networks(time_index: _TimeIndex, tx: Transmission) -> List[int]:
+    """Networks of ``tx``'s collision partners: co-SF packets that
+    overlap it in time with an :func:`overlap_ratio` of at least
+    :data:`DETECTION_MIN_OVERLAP`, found by the reception kernel's scan.
 
-
-class CollisionIndex:
-    """Time-sorted, frequency-bucketed index of co-SF collision partners.
-
-    Built once per result so classifying thousands of losses stays
-    near-linear instead of quadratic.  Rows carry each packet's time
-    span and passband edges, so a lookup compares floats instead of
-    re-deriving them per candidate.  Lookups scan as many buckets to
-    each side as the widest bandwidth needs
-    (:func:`~repro.phy.channels.bucket_reach`), like the gateway's
-    interference index.
+    The SF test runs before the ratio: it is the cheaper one.
     """
-
-    def __init__(self, transmissions: Sequence[Transmission]) -> None:
-        self._buckets: Dict[
-            Tuple[int, int], Tuple[List[_CollisionRow], List[float], float]
-        ] = {}
-        grouped: Dict[Tuple[int, int], List[_CollisionRow]] = {}
-        widest = 0.0
-        for tx in transmissions:
-            channel = tx.channel
-            key = (int(channel.center_hz // INDEX_BUCKET_HZ), int(tx.sf))
-            grouped.setdefault(key, []).append(
-                (
-                    tx, tx.start_s, tx.end_s, channel.low_hz,
-                    channel.high_hz, channel.bandwidth_hz, tx.network_id,
-                )
-            )
-            if channel.bandwidth_hz > widest:
-                widest = channel.bandwidth_hz
-        self._reach = bucket_reach(widest)
-        by_start = itemgetter(1)
-        for key, rows in grouped.items():
-            rows.sort(key=by_start)
-            starts = [row[1] for row in rows]
-            max_airtime = max(row[0].airtime_s for row in rows)
-            self._buckets[key] = (rows, starts, max_airtime)
-
-    def interferer_networks(self, tx: Transmission) -> List[int]:
-        """Networks of co-SF, co-channel, time-overlapping packets.
-
-        "Co-channel" means an :func:`overlap_ratio` of at least
-        :data:`DETECTION_MIN_OVERLAP`.  The time test runs first (it is
-        the cheaper one); ``min(ends) <= max(starts)`` is exactly
-        :func:`~repro.types.time_overlap_s` being zero.
-        """
-        channel = tx.channel
-        me_start, me_end = tx.start_s, tx.end_s
-        me_low, me_high = channel.low_hz, channel.high_hz
-        me_bw = channel.bandwidth_hz
-        center = int(channel.center_hz // INDEX_BUCKET_HZ)
-        nets: List[int] = []
-        for bucket in range(center - self._reach, center + self._reach + 1):
-            entry = self._buckets.get((bucket, int(tx.sf)))
-            if entry is None:
-                continue
-            rows, starts, max_airtime = entry
-            lo = bisect_left(starts, me_start - max_airtime)
-            hi = bisect_right(starts, me_end)
-            for other, start, end, low, high, bw, net in rows[lo:hi]:
-                if other is tx:
-                    continue
-                if (end if end < me_end else me_end) <= (
-                    start if start > me_start else me_start
-                ):
-                    continue
-                # overlap_ratio(other.channel, tx.channel), edge by edge.
-                overlap = (high if high < me_high else me_high) - (
-                    low if low > me_low else me_low
-                )
-                if overlap <= 0.0 or overlap / (
-                    bw if bw < me_bw else me_bw
-                ) < DETECTION_MIN_OVERLAP:
-                    continue
-                nets.append(net)
-        return nets
+    sf, channel = tx.sf, tx.channel
+    return [
+        net
+        for _tx, _start, _end, _low, _high, _pos, row_sf, row_channel, net
+        in _overlapping_rows(time_index, tx)
+        if row_sf == sf
+        and overlap_ratio(row_channel, channel) >= DETECTION_MIN_OVERLAP
+    ]
 
 
 def classify_loss(
     tx: Transmission,
     result: SimulationResult,
-    collision_index: Optional[CollisionIndex] = None,
+    time_index: Optional[_TimeIndex] = None,
 ) -> LossCause:
-    """Classify the fate of one transmission at the network level."""
+    """Classify the fate of one transmission at the network level.
+
+    ``time_index`` is the interference index of ``result.transmissions``
+    (built here when not given); :func:`loss_breakdown` builds it once
+    for every packet it classifies.
+    """
     records = result.records_for(tx)
     own_ids = result.own_gateway_ids(tx.network_id)
     own = [r for r in records if r.gateway_id in own_ids]
@@ -166,9 +109,9 @@ def classify_loss(
         )
 
     if any(r.outcome is Outcome.DECODE_FAILED for r in own):
-        if collision_index is None:
-            collision_index = CollisionIndex(result.transmissions)
-        nets = collision_index.interferer_networks(tx)
+        if time_index is None:
+            time_index = _build_time_index(result.transmissions)
+        nets = _partner_networks(time_index, tx)
         foreign = any(net != tx.network_id for net in nets)
         return LossCause.CHANNEL_INTER if foreign else LossCause.CHANNEL_INTRA
 
@@ -208,12 +151,12 @@ def loss_breakdown(
 ) -> LossBreakdown:
     """Classify every packet of a network (or all networks)."""
     breakdown = LossBreakdown()
-    index = CollisionIndex(result.transmissions)
+    index = _build_time_index(result.transmissions)
     for tx in result.transmissions:
         if network_id is not None and tx.network_id != network_id:
             continue
         breakdown.offered += 1
-        breakdown.counts[classify_loss(tx, result, collision_index=index)] += 1
+        breakdown.counts[classify_loss(tx, result, time_index=index)] += 1
     return breakdown
 
 
@@ -391,17 +334,6 @@ def time_to_recover_s(
         if series[b] >= threshold:
             return max(0.0, b * bucket_s - fault_start_s)
     return None
-
-
-def degraded_time_s(
-    fault_plan: FaultPlan, window_s: Optional[float] = None
-) -> float:
-    """Total time any component of a fault plan is degraded.
-
-    Overlapping windows (a gateway crash inside a Master outage) count
-    once; open-ended degradations are clipped to ``window_s``.
-    """
-    return fault_plan.degraded_time_s(window_s)
 
 
 def service_ratio(

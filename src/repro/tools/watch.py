@@ -26,7 +26,6 @@ import urllib.error
 import urllib.request
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO
 
-from ..obs.events import EventType
 from ..obs.health import HealthMonitor
 from .ascii_chart import bar_chart
 
@@ -65,26 +64,16 @@ class TraceFollower:
         lines = text.split("\n")
         # The last element is a partial line unless the chunk ended in \n.
         self._partial = lines.pop()
-        ingested = 0
+        events: List[Dict[str, Any]] = []
         for line in lines:
             line = line.strip()
             if not line:
                 continue
             try:
-                ev = json.loads(line)
+                events.append(json.loads(line))
             except json.JSONDecodeError:
                 continue  # torn write: skip, the next line resyncs
-            etype = ev.get("type")
-            if not isinstance(etype, str) or etype == EventType.MANIFEST:
-                continue
-            t = ev.get("t")
-            fields = {
-                k: v for k, v in ev.items() if k not in ("seq", "type", "t")
-            }
-            self.monitor.observe_event(
-                etype, t if isinstance(t, (int, float)) else None, fields
-            )
-            ingested += 1
+        ingested = self.monitor.ingest(events)
         if ingested:
             self.monitor.evaluate()
         return ingested

@@ -56,11 +56,10 @@ class TestRxChannelsMemo:
         memo = RxChannels(CHANNELS)
         for _ in range(2):  # second pass answers from the memo
             for probe in self.PROBES:
-                for min_overlap in (0.5, 0.75):
-                    assert match_rx_channel(
-                        probe, memo, min_overlap
-                    ) is match_rx_channel(probe, CHANNELS, min_overlap)
-        assert len(memo.matches) == 2 * len(set(self.PROBES))
+                assert match_rx_channel(probe, memo) is match_rx_channel(
+                    probe, CHANNELS
+                )
+        assert len(memo.matches) == len(set(self.PROBES))
 
     def test_ties_keep_sequence_order(self):
         # A probe centred between two receive channels overlaps both

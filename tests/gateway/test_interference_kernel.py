@@ -1,19 +1,21 @@
 """Equivalence of the shared reception kernels with brute-force references.
 
-Both reception loops (``Gateway.receive`` and the online engine) find a
-packet's interferers through ``Gateway._interferers_for`` over a
-precomputed time index, as the gateway hears it, and judge it with
-``decode_ok``.  A simulated run builds that index once for all its
-gateways (``repro.sim.medium.Medium``); a batch given to
-``Gateway.receive`` alone is indexed on its own.  The index stores each
-packet's overlapping rows at its first decode, and every later gateway
-reads them through its own RSSI row.  These tests rebuild
-both kernels from the public PHY helpers (``time_overlap_s``,
-``overlap_hz``, ``overlap_ratio``, ``sf_isolation_db``,
-``overlap_rejection_db``) on seeded random traffic that includes the
-edge cases: packets touching exactly in time, passbands touching
-exactly, mixed 125/250/500 kHz channels, misaligned plans sharing a
-frequency bucket, packets pruned at one gateway only, and every SF pair.
+The reception loop (``Gateway.receive``, for batch and online runs)
+finds a packet's interferers through ``Gateway._interferers_for`` over
+a precomputed time index, as the gateway hears it, and judges it with
+``decode_ok``; loss attribution reads its collision partners from the
+same scan (``repro.sim.metrics._partner_networks``).  A simulated run
+builds that index once for all its gateways
+(``repro.sim.medium.Medium``); a batch given to ``Gateway.receive``
+alone is indexed on its own.  The index stores each packet's
+overlapping rows at its first decode, and every later gateway reads
+them through its own RSSI row.  These tests rebuild both kernels
+from the public PHY helpers (``time_overlap_s``, ``overlap_hz``,
+``overlap_ratio``, ``sf_isolation_db``, ``overlap_rejection_db``) on
+seeded random traffic that includes the edge cases: packets touching
+exactly in time, passbands touching exactly, mixed 125/250/500 kHz
+channels, misaligned plans sharing a frequency bucket, packets pruned
+at one gateway only, and every SF pair.
 """
 
 import math
@@ -23,7 +25,7 @@ from typing import Dict, List
 import pytest
 
 from repro.gateway.detector import detect
-from repro.gateway.gateway import Gateway, Outcome
+from repro.gateway.gateway import Gateway, Outcome, _build_time_index
 from repro.gateway.models import get_model
 from repro.node.device import EndDevice
 from repro.phy.channels import (
@@ -47,7 +49,7 @@ from repro.phy.link import PathLossModel, Position, noise_floor_dbm
 from repro.phy.lora import SNR_THRESHOLD_DB, SpreadingFactor
 from repro.sim.engine import OnlineSimulator
 from repro.sim.medium import PRUNE_MARGIN_DB
-from repro.sim.metrics import CollisionIndex
+from repro.sim.metrics import _partner_networks
 from repro.sim.simulator import tx_key
 from repro.sim.topology import LinkBudget
 from repro.types import Observation, Transmission, time_overlap_s
@@ -255,9 +257,9 @@ def test_collision_index_sees_a_wide_channel_two_buckets_away():
     )
     assert bucket(narrow) - bucket(wide) == 2
     assert overlap_ratio(wide.channel, narrow.channel) == pytest.approx(0.82)
-    index = CollisionIndex([wide, narrow])
-    assert index.interferer_networks(wide) == [2]
-    assert index.interferer_networks(narrow) == [1]
+    index = _build_time_index([wide, narrow])
+    assert _partner_networks(index, wide) == [2]
+    assert _partner_networks(index, narrow) == [1]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -573,7 +575,7 @@ def test_detect_uses_the_gateway_memo():
 @pytest.mark.parametrize("seed", range(3))
 def test_collision_index_matches_brute_force(seed):
     txs = [o.transmission for o in random_observations(seed)]
-    index = CollisionIndex(txs)
+    index = _build_time_index(txs)
     # No frequency window: every co-SF packet, bucket by bucket, each
     # bucket in start order (sorted() is stable).
     ordered = sorted(txs, key=lambda o: (bucket(o), o.start_s))
@@ -586,4 +588,4 @@ def test_collision_index_matches_brute_force(seed):
             and overlap_ratio(other.channel, tx.channel) >= DETECTION_MIN_OVERLAP
             and time_overlap_s(tx, other) > 0.0
         ]
-        assert index.interferer_networks(tx) == want
+        assert _partner_networks(index, tx) == want

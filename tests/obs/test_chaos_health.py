@@ -20,6 +20,7 @@ from repro.obs import observe
 from repro.obs.health import HealthMonitor
 from repro.obs.httpexport import HealthHTTPExporter
 from repro.obs.recorder import load_trace
+from repro.tools.watch import TraceFollower
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,17 @@ class TestTraceReplay:
         _, monitor, events = chaos_health
         for live, trace in ((monitor, events), disruption_health):
             assert HealthMonitor().replay(trace).report() == live.report()
+
+    def test_one_poll_of_the_whole_trace_reports_what_replay_reports(
+        self, chaos_health, tmp_path
+    ):
+        _, _, events = chaos_health
+        path = tmp_path / "chaos.jsonl"
+        path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+        follower = TraceFollower(str(path))
+        assert follower.poll() == len(events) - 1  # the manifest is skipped
+        replayed = HealthMonitor().replay(events)
+        assert follower.monitor.report() == replayed.report()
 
     def test_partial_replay_mid_crash_is_not_ok(self, chaos_health):
         _, _, events = chaos_health

@@ -1,16 +1,28 @@
 """Tests for loss classification and metrics."""
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pytest
 
+from repro.baselines.standard import apply_standard_lorawan
+from repro.experiments.common import TESTBED_AREA_M, emulated_traffic
+from repro.experiments.fig04 import (
+    DEVICES_PER_NETWORK,
+    USER_INTERVAL_B_S,
+    WINDOW_B_S,
+)
 from repro.faults import BackhaulFault, FaultPlan, GatewayCrash
+from repro.gateway.gateway import _build_time_index
 from repro.node.traffic import capacity_burst
+from repro.phy.channels import INDEX_BUCKET_HZ, bucket_reach
+from repro.phy.interference import DETECTION_MIN_OVERLAP
 from repro.phy.lora import DataRate
+from repro.phy.regions import TESTBED_16
 from repro.sim.engine import OnlineSimulator
 from repro.sim.metrics import (
-    CollisionIndex,
     LossCause,
+    _partner_networks,
     classify_loss,
     loss_breakdown,
     outcome_counts,
@@ -18,8 +30,13 @@ from repro.sim.metrics import (
     spectrum_utilization,
     throughput_bps,
 )
-from repro.sim.scenario import assign_orthogonal_combos, build_network
+from repro.sim.scenario import (
+    assign_orthogonal_combos,
+    assign_tier_by_reach,
+    build_network,
+)
 from repro.sim.simulator import Simulator
+from repro.sim.topology import LinkBudget
 
 
 @pytest.fixture
@@ -205,7 +222,9 @@ class TestServiceRatio:
         assert service_ratio(overloaded_result, 42) == 0.0
 
 
-class TestCollisionIndex:
+class TestCollisionPartners:
+    """Loss attribution's partner test over the reception kernel's scan."""
+
     def test_finds_co_cell_partner(self, plan_16):
         from repro.types import Transmission
         from repro.phy.lora import SpreadingFactor
@@ -213,8 +232,7 @@ class TestCollisionIndex:
         ch = list(plan_16)[0]
         a = Transmission(1, 1, ch, SpreadingFactor.SF8, 0.0, 20)
         b = Transmission(2, 2, ch, SpreadingFactor.SF8, 0.01, 20)
-        index = CollisionIndex([a, b])
-        assert index.interferer_networks(a) == [2]
+        assert _partner_networks(_build_time_index([a, b]), a) == [2]
 
     def test_orthogonal_sf_not_partner(self, plan_16):
         from repro.types import Transmission
@@ -223,8 +241,7 @@ class TestCollisionIndex:
         ch = list(plan_16)[0]
         a = Transmission(1, 1, ch, SpreadingFactor.SF8, 0.0, 20)
         b = Transmission(2, 2, ch, SpreadingFactor.SF9, 0.01, 20)
-        index = CollisionIndex([a, b])
-        assert index.interferer_networks(a) == []
+        assert _partner_networks(_build_time_index([a, b]), a) == []
 
     def test_disjoint_time_not_partner(self, plan_16):
         from repro.types import Transmission
@@ -233,6 +250,123 @@ class TestCollisionIndex:
         ch = list(plan_16)[0]
         a = Transmission(1, 1, ch, SpreadingFactor.SF8, 0.0, 20)
         b = Transmission(2, 2, ch, SpreadingFactor.SF8, 10.0, 20)
-        index = CollisionIndex([a, b])
-        assert index.interferer_networks(a) == []
+        assert _partner_networks(_build_time_index([a, b]), a) == []
 
+
+
+class _BucketSfPartnerIndex:
+    """Reference partner search on its own index keyed by (frequency
+    bucket, SF), each key's bisect window sized by that key's longest
+    airtime: the search loss attribution ran before it read the
+    reception kernel's scan."""
+
+    def __init__(self, transmissions):
+        grouped = {}
+        widest = 0.0
+        for tx in transmissions:
+            channel = tx.channel
+            key = (int(channel.center_hz // INDEX_BUCKET_HZ), int(tx.sf))
+            grouped.setdefault(key, []).append(
+                (
+                    tx, tx.start_s, tx.end_s, channel.low_hz,
+                    channel.high_hz, channel.bandwidth_hz, tx.network_id,
+                )
+            )
+            widest = max(widest, channel.bandwidth_hz)
+        self._reach = bucket_reach(widest)
+        self._buckets = {}
+        for key, rows in grouped.items():
+            rows.sort(key=lambda row: row[1])
+            self._buckets[key] = (
+                rows,
+                [row[1] for row in rows],
+                max(row[0].airtime_s for row in rows),
+            )
+
+    def interferer_networks(self, tx):
+        channel = tx.channel
+        me_start, me_end = tx.start_s, tx.end_s
+        me_low, me_high = channel.low_hz, channel.high_hz
+        me_bw = channel.bandwidth_hz
+        center = int(channel.center_hz // INDEX_BUCKET_HZ)
+        nets = []
+        for bucket in range(center - self._reach, center + self._reach + 1):
+            entry = self._buckets.get((bucket, int(tx.sf)))
+            if entry is None:
+                continue
+            rows, starts, max_airtime = entry
+            lo = bisect_left(starts, me_start - max_airtime)
+            hi = bisect_right(starts, me_end)
+            for other, start, end, low, high, bw, net in rows[lo:hi]:
+                if other is tx:
+                    continue
+                if min(end, me_end) <= max(start, me_start):
+                    continue
+                overlap = min(high, me_high) - max(low, me_low)
+                if overlap <= 0.0 or overlap / min(
+                    bw, me_bw
+                ) < DETECTION_MIN_OVERLAP:
+                    continue
+                nets.append(net)
+        return nets
+
+
+def _fig4b_style_result(seed, networks=3):
+    """One Figure 4b point: ``networks`` homogeneous standard-LoRaWAN
+    networks of 1,000 users each in the 1.6 MHz band."""
+    grid = TESTBED_16.grid()
+    width, height = TESTBED_AREA_M
+    nets = []
+    txs = []
+    for k in range(networks):
+        net = build_network(
+            network_id=k + 1,
+            num_gateways=3,
+            num_nodes=DEVICES_PER_NETWORK,
+            channels=grid.channels()[:8],
+            seed=seed + 17 * k,
+            gateway_id_base=100 * k,
+            node_id_base=10_000 * k,
+            width_m=width,
+            height_m=height,
+        )
+        apply_standard_lorawan(net, grid, seed=seed + 17 * k)
+        assign_tier_by_reach(net, spread_seed=seed + 17 * k)
+        nets.append(net)
+        txs.extend(
+            emulated_traffic(
+                net.devices,
+                total_users=1000,
+                mean_interval_s=USER_INTERVAL_B_S,
+                window_s=WINDOW_B_S,
+                seed=seed + 31 * k,
+            )
+        )
+    txs.sort(key=lambda t: t.start_s)
+    sim = Simulator(
+        [gw for net in nets for gw in net.gateways],
+        [dev for net in nets for dev in net.devices],
+        link=LinkBudget(),
+    )
+    return sim.run(txs)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_attribution_matches_the_bucket_sf_reference(seed):
+    result = _fig4b_style_result(seed)
+    index = _build_time_index(result.transmissions)
+    reference = _BucketSfPartnerIndex(result.transmissions)
+    channel = {LossCause.CHANNEL_INTRA, LossCause.CHANNEL_INTER}
+    seen = Counter()
+    for tx in result.transmissions:
+        nets = reference.interferer_networks(tx)
+        assert _partner_networks(index, tx) == nets
+        cause = classify_loss(tx, result, index)
+        if cause in channel:
+            foreign = any(net != tx.network_id for net in nets)
+            assert cause is (
+                LossCause.CHANNEL_INTER if foreign else LossCause.CHANNEL_INTRA
+            )
+            assert classify_loss(tx, result) is cause  # its own index
+        seen[cause] += 1
+    assert seen[LossCause.CHANNEL_INTRA] and seen[LossCause.CHANNEL_INTER]

@@ -46,6 +46,24 @@ class TestPlacement:
 
 
 class TestLinkBudget:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Position(-0.0, 5.0), Position(0.0, 5.0)),
+            (Position(0.0, -0.0), Position(-0.0, 0.0)),
+        ],
+    )
+    def test_equal_positions_draw_bit_equal_losses(self, a, b):
+        # The cache returns whichever of two equal positions drew first,
+        # so both must draw the same loss, in either call order.
+        assert a == b
+        far = Position(100.0, 0.0)
+        for first, second in ((a, b), (b, a)):
+            budget = LinkBudget()
+            drawn = budget.path_loss_db(first, far)
+            assert budget.path_loss_db(second, far).hex() == drawn.hex()
+            assert LinkBudget().path_loss_db(second, far).hex() == drawn.hex()
+
     def test_cache_consistency(self):
         budget = LinkBudget()
         a, b = Position(0, 0), Position(400, 300)
