@@ -172,6 +172,8 @@ class CPEvaluator:
                 for j in gw_ids:
                     self.reach[l, i, j] = True
         self._node_index = np.arange(self.num_nodes)
+        # Grid channel indices as a column, for the window table.
+        self._grid = np.arange(self.num_channels)[:, None]
         self.traffic = np.array([n.traffic for n in cp.nodes], dtype=float)
         self.decoders = np.array([g.decoders for g in cp.gateways], dtype=float)
         # DR index per tier (for the cell-overload penalty).
@@ -219,12 +221,21 @@ class CPEvaluator:
         node_ch: np.ndarray,
         node_tier: np.ndarray,
     ) -> np.ndarray:
-        """``link[i, j]`` — node i can deliver through gateway j."""
-        # Channel membership: start_j <= ch_i < start_j + count_j.
-        ch = node_ch[:, None]
-        in_window = (ch >= starts[None, :]) & (ch < (starts + counts)[None, :])
-        reach_sel = self.reach[node_tier, self._node_index, :]
-        return in_window & reach_sel
+        """``link[i, j]`` — node i can deliver through gateway j.
+
+        A C-contiguous (nodes, gateways) bool array.  A node channel off
+        the grid links nowhere.
+        """
+        # Channel membership start_j <= c < start_j + count_j, tabled once
+        # per genome: row c + 1 for grid channel c, and all-False first
+        # and last rows, which the clipped gather maps every off-grid
+        # channel to.
+        table = np.zeros((self.num_channels + 2, self.num_gw), dtype=bool)
+        grid = self._grid
+        np.logical_and(grid >= starts, grid < starts + counts, out=table[1:-1])
+        link = np.take(table, node_ch + 1, axis=0, mode="clip")
+        link &= self.reach[node_tier, self._node_index, :]
+        return link
 
     def risk(self, genome: Sequence[int]) -> Tuple[float, int]:
         """Objective value and connectivity violations for a genome."""
@@ -240,13 +251,17 @@ class CPEvaluator:
         gw_loss = np.where(k > 0.0, phi / np.maximum(k, 1e-9), 0.0)
 
         # Node risk Phi_i = min over serving gateways (the paper's risk,
-        # normalized to a loss probability).
-        big = np.inf
-        risk_per_node = np.where(link, gw_loss[None, :], big)
-        node_risk = risk_per_node.min(axis=1)
+        # normalized to a loss probability).  The minimum and the link
+        # count reduce a gateway-major copy: a minimum does not depend on
+        # the order it is taken in, and a count is an integer, so both
+        # are exact.  The float sum ``k`` stays on ``link``, whose layout
+        # sets the order BLAS adds in.
+        by_gw = np.ascontiguousarray(link.T)
+        node_risk = np.where(by_gw, gw_loss[:, None], np.inf).min(axis=0)
+        links_per_node = by_gw.sum(axis=0)
         disconnected = ~np.isfinite(node_risk)
-        violations = int(disconnected.sum())
-        node_risk = np.where(disconnected, 0.0, node_risk)
+        violations = int(np.count_nonzero(disconnected))
+        node_risk[disconnected] = 0.0
 
         total = float((self.traffic * node_risk).sum())
         total += self.unserved_cost * float(self.traffic[disconnected].sum())
@@ -272,7 +287,6 @@ class CPEvaluator:
 
         # Redundant decoder occupancy: gateways beyond the first that
         # hear a packet consume decoders without adding deliveries.
-        links_per_node = link.sum(axis=1)
         redundancy = float(
             (self.traffic * np.maximum(links_per_node - 1, 0)).sum()
         )

@@ -18,6 +18,7 @@ import logging
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import repeat, starmap
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,15 +40,21 @@ class GAConfig:
     """Hyper-parameters of the evolutionary search.
 
     Attributes:
-        population: Individuals per generation.
-        generations: Evolution steps.
-        tournament_k: Tournament size for parent selection.
-        crossover_rate: Probability of uniform crossover per mating.
-        mutation_rate: Per-gene reset probability.
-        elitism: Individuals copied unchanged into the next generation.
+        population: Individuals per generation (at least 2).
+        generations: Evolution steps (0 scores the initial population
+            only).
+        tournament_k: Tournament size for parent selection (at least 1).
+        crossover_rate: Probability of uniform crossover per mating, in
+            [0, 1].
+        mutation_rate: Per-gene reset probability, in [0, 1].
+        elitism: Individuals copied unchanged into the next generation,
+            in [0, population).
         seed: RNG seed (the whole run is deterministic).
         patience: Stop early after this many generations without
-            improvement (0 disables early stopping).
+            improvement (at least 0; 0 disables early stopping).
+
+    Raises:
+        ValueError: A field is outside its range above.
     """
 
     population: int = 60
@@ -62,8 +69,17 @@ class GAConfig:
     def __post_init__(self) -> None:
         if self.population < 2:
             raise ValueError("population must be at least 2")
+        if self.generations < 0:
+            raise ValueError("generations must be at least 0")
+        if self.tournament_k < 1:
+            raise ValueError("tournament_k must be at least 1")
+        for name in ("crossover_rate", "mutation_rate"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if not 0 <= self.elitism < self.population:
             raise ValueError("elitism must be in [0, population)")
+        if self.patience < 0:
+            raise ValueError("patience must be at least 0")
 
 
 @dataclass
@@ -110,8 +126,10 @@ def _mutate(
 
 
 def _crossover(a: Genome, b: Genome, rng: random.Random) -> Genome:
-    rnd = rng.random
-    return np.where(np.array([rnd() for _ in range(len(a))]) < 0.5, a, b)
+    # One ``random()`` call per gene, in gene order, iterated in C.
+    n = len(a)
+    draws = np.fromiter(starmap(rng.random, repeat((), n)), np.float64, n)
+    return np.where(draws < 0.5, a, b)
 
 
 def _prepare(

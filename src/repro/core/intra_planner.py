@@ -251,7 +251,9 @@ def _make_repair(evaluator: CPEvaluator):
             return genome
         starts, counts, node_ch, node_tier = evaluator.split(genome)
         link = evaluator.link_matrix(starts, counts, node_ch, node_tier)
-        disconnected = np.flatnonzero(~link.any(axis=1))
+        # Gateway-major, as in ``CPEvaluator.risk``: the per-node test
+        # then reduces contiguous rows.
+        disconnected = np.flatnonzero(~np.ascontiguousarray(link.T).any(axis=0))
         if disconnected.size == 0:
             return genome
         # Only reconnect to gateways that still have spare decoders:

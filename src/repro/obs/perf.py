@@ -1,10 +1,10 @@
 """Performance observatory: phase counters, throughput, and hotspots.
 
-ROADMAP item #1 (the million-node engine refactor) needs hard data on
-where the per-packet discrete-event loop spends its time *before* the
-struct-of-arrays rewrite begins — and an events-per-second trajectory
-(``benchmarks/BENCH_engine.json``) gating every PR after it.  This
-module is that measurement rig:
+This module supplies the phase taxonomy (:class:`Phase`) behind the
+benchmark's per-layer record: ``bench/run.py --trace 1`` attaches a
+:class:`PerfProbe` and persists each phase's items and wall share
+beside the traced layer times.  It also feeds the events-per-second
+trajectory in ``benchmarks/BENCH_engine.json``.  Its parts:
 
 * :class:`PerfProbe` — a process-local probe (the ``runtime.PERF``
   slot, guarded exactly like ``TRACE``) collecting **exact per-phase

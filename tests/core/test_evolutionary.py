@@ -127,6 +127,41 @@ class TestConfig:
         with pytest.raises(ValueError):
             GAConfig(population=10, elitism=10)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_empty_tournament(self, k):
+        with pytest.raises(ValueError, match="tournament_k"):
+            GAConfig(tournament_k=k)
+
+    def test_rejects_negative_patience(self):
+        with pytest.raises(ValueError, match="patience"):
+            GAConfig(patience=-1)
+
+    def test_rejects_negative_generations(self):
+        with pytest.raises(ValueError, match="generations"):
+            GAConfig(generations=-3)
+
+    @pytest.mark.parametrize("rate", [-0.5, 1.5, float("nan")])
+    def test_rejects_mutation_rate_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="mutation_rate"):
+            GAConfig(mutation_rate=rate)
+
+    @pytest.mark.parametrize("rate", [-0.1, 2.0, float("nan")])
+    def test_rejects_crossover_rate_outside_unit_interval(self, rate):
+        with pytest.raises(ValueError, match="crossover_rate"):
+            GAConfig(crossover_rate=rate)
+
+    def test_accepts_range_ends(self):
+        config = GAConfig(
+            generations=0,
+            tournament_k=1,
+            crossover_rate=1.0,
+            mutation_rate=0.0,
+            patience=0,
+        )
+        result = evolve([(0, 10)] * 3, sphere_fitness, config)
+        assert result.generations_run == 0
+        assert result.evaluations == config.population
+
 
 class TestEvolve:
     def test_solves_simple_problem(self):
