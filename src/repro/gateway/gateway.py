@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -37,7 +38,7 @@ from ..phy.channels import (
     bucket_reach,
     spectrum_span_hz,
 )
-from ..phy.interference import Interferer, decode_ok
+from ..phy.interference import InterfererTuple, decode_ok
 from ..phy.lora import SpreadingFactor
 from ..phy.link import Position, noise_floor_dbm
 from ..types import Observation, Transmission
@@ -67,15 +68,16 @@ _Row = Tuple[
     Transmission, float, float, float, float, int,
     SpreadingFactor, Channel, int,
 ]
-# (per frequency bucket: rows, their starts, longest airtime; buckets a
-# lookup scans on each side of its own; per position, the rows that
-# overlap that packet in time and passband, ``None`` until it is first
-# decoded at any gateway of the run).
-_TimeIndex = Tuple[
-    Dict[int, Tuple[List[_Row], List[float], float]],
-    int,
-    List[Optional[List[_Row]]],
-]
+# One frequency bucket: its rows, their starts, the longest airtime, and
+# the passband envelope (the rows' lowest ``low_hz``, highest ``high_hz``).
+_Bucket = Tuple[List[_Row], List[float], float, float, float]
+# (the buckets by key; buckets a lookup scans on each side of its own;
+# per position, the rows that overlap that packet in time and passband,
+# ``None`` until it is first decoded at any gateway of the run).
+_TimeIndex = Tuple[Dict[int, _Bucket], int, List[Optional[List[_Row]]]]
+
+# A NO_DECODER record's blocker networks, read off the blocking leases.
+_holder_network_id = attrgetter("holder_network_id")
 
 
 def _row_start_s(row: _Row) -> float:
@@ -106,7 +108,9 @@ def _build_time_index(transmissions: Sequence[Transmission]) -> _TimeIndex:
     widest indexed bandwidth needs
     (:func:`~repro.phy.channels.bucket_reach`).  Each row carries the
     packet's time span and passband edges, so the scan compares floats
-    instead of re-deriving them per candidate.  A simulated run indexes
+    instead of re-deriving them per candidate; each bucket carries the
+    envelope of its rows' passbands, so the scan passes over a bucket
+    no row of which can overlap the packet.  A simulated run indexes
     its transmissions once for all gateways
     (:class:`~repro.sim.medium.Medium`); a batch handed to
     :meth:`Gateway.receive` alone is indexed on its own; loss
@@ -127,12 +131,14 @@ def _build_time_index(transmissions: Sequence[Transmission]) -> _TimeIndex:
         buckets.setdefault(key, []).append(row)
         if channel.bandwidth_hz > widest:
             widest = channel.bandwidth_hz
-    index: Dict[int, Tuple[List[_Row], List[float], float]] = {}
+    index: Dict[int, _Bucket] = {}
     for key, rows in buckets.items():
         rows.sort(key=_row_start_s)
         starts = [row[1] for row in rows]
         max_airtime = max(row[0].airtime_s for row in rows)
-        index[key] = (rows, starts, max_airtime)
+        low = min(row[3] for row in rows)
+        high = max(row[4] for row in rows)
+        index[key] = (rows, starts, max_airtime, low, high)
     overlapping: List[Optional[List[_Row]]] = [None] * len(transmissions)
     return index, bucket_reach(widest), overlapping
 
@@ -158,7 +164,11 @@ def _overlapping_rows(index: _TimeIndex, me: Transmission) -> List[_Row]:
         entry = buckets.get(key)
         if entry is None:
             continue
-        rows, starts, max_airtime = entry
+        rows, starts, max_airtime, env_low, env_high = entry
+        if (env_high if env_high < me_high else me_high) <= (
+            env_low if env_low > me_low else me_low
+        ):
+            continue
         lo = bisect_left(starts, me_start - max_airtime)
         hi = bisect_right(starts, me_end)
         for row in rows[lo:hi]:
@@ -346,7 +356,9 @@ class Gateway:
             channels, _build_time_index(txs),
         )
 
-    def _interferers_for(self, p: int, hearing: Hearing) -> List[Interferer]:
+    def _interferers_for(
+        self, p: int, hearing: Hearing
+    ) -> List[InterfererTuple]:
         """Concurrent transmissions adding energy into packet ``p``'s
         passband, ``p`` being its position in the run.
 
@@ -355,9 +367,12 @@ class Gateway:
         it.  Which rows overlap depends only on the run, so the first
         call for ``p`` at any gateway scans the index and stores them,
         before the heard filter; later calls walk the stored rows.
-        Interferers come out bucket by bucket upwards, each bucket in
-        (start, position) order: skipping the packets a gateway does
-        not hear leaves the order its own batch's index would give.
+        Interferers come out as plain ``(rssi_dbm, sf, channel,
+        same_network)`` tuples, the fields of
+        :class:`~repro.phy.interference.Interferer`, bucket by bucket
+        upwards, each bucket in (start, position) order: skipping the
+        packets a gateway does not hear leaves the order its own batch's
+        index would give.
         """
         index = hearing.index
         me = hearing.transmissions[p]
@@ -366,11 +381,11 @@ class Gateway:
             found = index[2][p] = _overlapping_rows(index, me)
         heard = hearing.rssi_dbm
         me_net = me.network_id
-        interferers: List[Interferer] = []
+        interferers: List[InterfererTuple] = []
         for _tx, _start, _end, _low, _high, pos, sf, chan, net in found:
             rssi = heard[pos]
             if rssi is not None:
-                interferers.append(Interferer(rssi, sf, chan, net == me_net))
+                interferers.append((rssi, sf, chan, net == me_net))
         return interferers
 
     def receive(
@@ -521,8 +536,7 @@ class Gateway:
                         snr_db=det.snr_db,
                         lock_on_s=det.lock_on_s,
                         blocker_network_ids=tuple(
-                            lease.holder_network_id
-                            for lease in admission.blockers
+                            map(_holder_network_id, admission.blockers)
                         ),
                     )
                 if st_dispatch is not None:

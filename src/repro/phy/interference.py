@@ -131,12 +131,18 @@ def is_detectable(packet_channel: Channel, rx_channel: Channel) -> bool:
     return overlap_ratio(packet_channel, rx_channel) >= DETECTION_MIN_OVERLAP
 
 
+# What the decode kernels read of one interferer: (rssi_dbm, sf,
+# channel, same_network).  ``Interferer`` is its named form.
+InterfererTuple = Tuple[float, SpreadingFactor, Channel, bool]
+
+
 class Interferer(NamedTuple):
     """One concurrent transmission observed while receiving a packet.
 
-    A named tuple rather than a dataclass: the reception kernels build
-    one per overlapping packet and :func:`decode_ok` unpacks it, both
-    at tuple speed.
+    The named form of :data:`InterfererTuple`, for interferer lists
+    built by hand.  :func:`decode_ok` and the other kernels take either
+    form and only unpack it; the reception loop passes plain tuples,
+    which build several times faster.
     """
 
     rssi_dbm: float
@@ -159,7 +165,7 @@ def _noise_and_captures(
     noise_dbm: float,
     desired_sf: SpreadingFactor,
     desired_channel: Channel,
-    interferers: Iterable[Interferer],
+    interferers: Iterable[InterfererTuple],
 ) -> Tuple[float, List[float]]:
     """:func:`effective_noise_mw`, plus the RSSIs of co-SF interferers
     on an (almost) aligned channel — the true collisions that
@@ -196,7 +202,7 @@ def effective_noise_mw(
     noise_dbm: float,
     desired_sf: SpreadingFactor,
     desired_channel: Channel,
-    interferers: Iterable[Interferer],
+    interferers: Iterable[InterfererTuple],
 ) -> float:
     """Noise plus isolation-weighted interference power (mW).
 
@@ -215,7 +221,7 @@ def sinr_db(
     noise_dbm: float,
     desired_sf: SpreadingFactor,
     desired_channel: Channel,
-    interferers: Iterable[Interferer],
+    interferers: Iterable[InterfererTuple],
 ) -> float:
     """Signal-to-(interference+noise) ratio after isolation weighting."""
     noise_mw = effective_noise_mw(
@@ -229,7 +235,7 @@ def decode_ok(
     noise_dbm: float,
     desired_sf: SpreadingFactor,
     desired_channel: Channel,
-    interferers: Sequence[Interferer] = (),
+    interferers: Sequence[InterfererTuple] = (),
 ) -> bool:
     """Full decode decision for a packet at a gateway channel.
 

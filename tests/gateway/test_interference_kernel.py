@@ -204,17 +204,42 @@ def test_traffic_covers_the_edge_cases():
     assert {tx.channel.bandwidth_hz for tx in txs} == {125_000, 250_000, 500_000}
 
 
+def envelope_skips(index, tx: Transmission) -> int:
+    """Buckets in ``tx``'s reach whose passband envelope (the bucket's
+    lowest ``low_hz`` and highest ``high_hz``) misses ``tx``'s passband,
+    so the scan passes them over without reading a row.  Checks each
+    stored envelope against its bucket's rows on the way."""
+    buckets, reach, _ = index
+    low, high = tx.channel.low_hz, tx.channel.high_hz
+    skips = 0
+    for key in range(bucket(tx) - reach, bucket(tx) + reach + 1):
+        if key not in buckets:
+            continue
+        rows, _starts, _airtime, env_low, env_high = buckets[key]
+        assert env_low == min(row[3] for row in rows)
+        assert env_high == max(row[4] for row in rows)
+        skips += min(env_high, high) <= max(env_low, low)
+    return skips
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_interferers_match_brute_force(seed):
-    observations = random_observations(seed)
+    # The default traffic mixes 250/500 kHz channels into most buckets;
+    # on the aligned 125 kHz grid alone every neighbouring bucket's
+    # envelope misses the packet's passband and the scan skips it.
     gw = make_gateway()
-    hearing = Gateway._hearing(observations)
-    seen = 0
-    for p, obs in enumerate(observations):
-        got = gw._interferers_for(p, hearing)
-        assert got == reference_interferers(obs, observations)
-        seen += len(got)
-    assert seen > 0
+    for channels in (None, RX_CHANNELS):
+        observations = random_observations(seed, channels=channels)
+        hearing = Gateway._hearing(observations)
+        seen = skipped = 0
+        for p, obs in enumerate(observations):
+            got = gw._interferers_for(p, hearing)
+            assert got == reference_interferers(obs, observations)
+            seen += len(got)
+            skipped += envelope_skips(hearing.index, obs.transmission)
+        assert seen > 0
+        if channels is RX_CHANNELS:
+            assert skipped > 0
 
 
 def test_wide_channels_two_buckets_apart_see_each_other():
@@ -262,6 +287,35 @@ def test_collision_index_sees_a_wide_channel_two_buckets_away():
     assert _partner_networks(index, narrow) == [1]
 
 
+def test_envelope_keeps_a_bucket_with_one_overlapping_row():
+    # The bucket above ``me`` holds a 125 kHz row 75 kHz clear of its
+    # passband and a 500 kHz row over it: the envelope spans both, so
+    # the bucket is scanned and only the wide row is found.
+    me = Channel(923.2e6)
+    clear, wide = Channel(923.4e6), Channel(923.4e6, 500_000.0)
+    observations = [
+        Observation(
+            Transmission(
+                node_id=i, network_id=1 + i % 2, channel=channel,
+                sf=SpreadingFactor.SF9, start_s=0.01 * i,
+            ),
+            rssi_dbm=NOISE + 5.0 * i,
+        )
+        for i, channel in enumerate((me, clear, wide))
+    ]
+    txs = [o.transmission for o in observations]
+    assert bucket(txs[1]) == bucket(txs[2]) == bucket(txs[0]) + 1
+    assert clear.low_hz - me.high_hz == pytest.approx(75_000.0)
+    assert overlap_hz(me, wide) > 0.0
+    hearing = Gateway._hearing(observations)
+    assert envelope_skips(hearing.index, txs[0]) == 0
+    assert envelope_skips(_build_time_index(txs[:2]), txs[0]) == 1
+    got = make_gateway()._interferers_for(0, hearing)
+    assert got == reference_interferers(observations[0], observations)
+    assert got == [(NOISE + 10.0, SpreadingFactor.SF9, wide, True)]
+    assert _partner_networks(hearing.index, txs[0]) == [1]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_decode_ok_matches_brute_force(seed):
     observations = random_observations(seed)
@@ -270,14 +324,17 @@ def test_decode_ok_matches_brute_force(seed):
     verdicts = set()
     for p, obs in enumerate(observations):
         tx = obs.transmission
+        # The kernel's own plain tuples go to the kernel; the reference
+        # reads fields by name.
         interferers = gw._interferers_for(p, hearing)
+        named = [Interferer(*t) for t in interferers]
         noise = noise_floor_dbm(tx.channel.bandwidth_hz)
         assert effective_noise_mw(
             noise, tx.sf, tx.channel, interferers
-        ) == reference_noise_mw(noise, tx.sf, tx.channel, interferers)
+        ) == reference_noise_mw(noise, tx.sf, tx.channel, named)
         got = decode_ok(obs.rssi_dbm, noise, tx.sf, tx.channel, interferers)
         want = reference_decode_ok(
-            obs.rssi_dbm, noise, tx.sf, tx.channel, interferers
+            obs.rssi_dbm, noise, tx.sf, tx.channel, named
         )
         assert got == want
         verdicts.add(got)
@@ -300,9 +357,10 @@ def test_decode_ok_every_sf_pair():
                     for _ in range(rng.randrange(1, 4))
                 ]
                 rssi = NOISE + rng.uniform(-25.0, 25.0)
-                assert decode_ok(
-                    rssi, NOISE, desired, channel, interferers
-                ) == reference_decode_ok(rssi, NOISE, desired, channel, interferers)
+                want = reference_decode_ok(rssi, NOISE, desired, channel, interferers)
+                assert decode_ok(rssi, NOISE, desired, channel, interferers) == want
+                plain = [tuple(intf) for intf in interferers]
+                assert decode_ok(rssi, NOISE, desired, channel, plain) == want
 
 
 class TableLoss(PathLossModel):
@@ -574,18 +632,24 @@ def test_detect_uses_the_gateway_memo():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_collision_index_matches_brute_force(seed):
-    txs = [o.transmission for o in random_observations(seed)]
-    index = _build_time_index(txs)
-    # No frequency window: every co-SF packet, bucket by bucket, each
-    # bucket in start order (sorted() is stable).
-    ordered = sorted(txs, key=lambda o: (bucket(o), o.start_s))
-    for tx in txs:
-        want = [
-            other.network_id
-            for other in ordered
-            if other is not tx
-            and other.sf == tx.sf
-            and overlap_ratio(other.channel, tx.channel) >= DETECTION_MIN_OVERLAP
-            and time_overlap_s(tx, other) > 0.0
-        ]
-        assert _partner_networks(index, tx) == want
+    # Mixed bandwidths, then the aligned 125 kHz grid alone, where the
+    # scan skips every neighbouring bucket on its envelope.
+    for channels in (None, RX_CHANNELS):
+        txs = [o.transmission for o in random_observations(seed, channels=channels)]
+        index = _build_time_index(txs)
+        # No frequency window: every co-SF packet, bucket by bucket, each
+        # bucket in start order (sorted() is stable).
+        ordered = sorted(txs, key=lambda o: (bucket(o), o.start_s))
+        found = 0
+        for tx in txs:
+            want = [
+                other.network_id
+                for other in ordered
+                if other is not tx
+                and other.sf == tx.sf
+                and overlap_ratio(other.channel, tx.channel) >= DETECTION_MIN_OVERLAP
+                and time_overlap_s(tx, other) > 0.0
+            ]
+            assert _partner_networks(index, tx) == want
+            found += len(want)
+        assert found > 0
