@@ -32,6 +32,5 @@ examples:
 	python examples/coexistence_sharing.py
 	python examples/standards_compliance.py
 	python examples/city_scale.py
-	python examples/campaign_sweep.py
 
 all: test bench

@@ -6,7 +6,7 @@ the packet loop where possible).  Like ``test_obs_overhead``, this
 measures the guard directly, counts how often phase hooks fire during
 a representative chaos run, and asserts the projected disabled-mode
 cost stays below 5% of the run's wall time.  A second check bounds the
-*attached* sampled mode (the campaign-worker configuration) loosely.
+*attached* sampled mode loosely.
 """
 
 import time

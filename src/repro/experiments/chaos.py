@@ -15,7 +15,7 @@ reproduces them byte-for-byte.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.evolutionary import GAConfig
 from ..core.intra_planner import IntraNetworkPlanner, PlannerConfig
@@ -63,38 +63,25 @@ DUTY_CYCLE = 0.003
 OPERATOR = "op-chaos"
 
 
-def run_chaos(
-    seed: int = 0,
-    fast: bool = True,
-    *,
-    num_gateways: int = 3,
-    num_nodes: Optional[int] = None,
-    width_m: float = 300.0,
-    height_m: float = 300.0,
-) -> Dict[str, object]:
+def run_chaos(seed: int = 0, fast: bool = True) -> Dict[str, object]:
     """Run the full chaos scenario; returns deterministic metrics.
 
     Control plane: a real :class:`MasterServer`/:class:`MasterClient`
     TCP pair under the plan's outage window (a controllable clock pins
     the server inside it — no real 30 s wait).  Data plane: the online
     engine under the same plan, with confirmed-uplink retransmissions.
-
-    The deployment's shape is keyword-settable so the scenario compiler
-    (:mod:`repro.scenarios`) drives the same code path from a spec file;
-    the fault schedule is the module constants above.
+    The fault schedule is the module constants above.
     """
     grid = TESTBED_16.grid()
     channels = grid.channels()
-    if num_nodes is None:
-        num_nodes = 24 if fast else 60
     net = build_network(
         network_id=1,
-        num_gateways=num_gateways,
-        num_nodes=num_nodes,
+        num_gateways=3,
+        num_nodes=24 if fast else 60,
         channels=channels[:8],
         seed=seed,
-        width_m=width_m,
-        height_m=height_m,
+        width_m=300.0,
+        height_m=300.0,
     )
     assign_orthogonal_combos(net.devices, channels[:8])
     for dev in net.devices:

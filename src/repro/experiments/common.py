@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..gateway.gateway import Gateway
 from ..node.device import EndDevice
 from ..node.traffic import capacity_burst
-from ..scenarios.spec import area_preset
 from ..sim.simulator import SimulationResult, Simulator
 from ..sim.topology import LinkBudget
 from ..types import Transmission
@@ -27,18 +26,15 @@ __all__ = [
     "TESTBED_AREA_M",
 ]
 
-# Deployment footprints come from the scenario-spec defaults file
-# (scenarios/defaults.yaml `area_presets`) — the single source of truth
-# shared with spec-compiled runs, so a hand-written script and its
-# scenario port can never disagree on the area.
+# Deployment footprints (width_m, height_m).
 #
 # compact: lab-style feasibility studies (Figures 2, 3, 5) — all
 # gateways hear all nodes, as in the paper's controlled experiments.
 # testbed: scaled studies (Figures 12-15) — the paper's 2.1 x 1.6 km
 # urban area scaled to keep most links viable at mid data rates while
 # preserving the reach heterogeneity that makes planning non-trivial.
-COMPACT_AREA_M = area_preset("compact")
-TESTBED_AREA_M = area_preset("testbed")
+COMPACT_AREA_M: Tuple[float, float] = (250.0, 250.0)
+TESTBED_AREA_M: Tuple[float, float] = (800.0, 600.0)
 
 
 def lab_link(seed: int = 0) -> LinkBudget:

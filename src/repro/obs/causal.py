@@ -2,9 +2,10 @@
 
 A :class:`TraceContext` names one causal scope of a distributed run:
 
-* ``run_id``    — the logical run (campaign run id, drill id, ...).
+* ``run_id``    — the logical run (drill id, ...).
 * ``trace_id``  — constant across every process, socket hop, and
-  crash/restart incarnation of one run; the join key for shard merges.
+  crash/restart incarnation of one run; the key that joins their
+  events.
 * ``span_id``   — this process/scope's node in the causal tree.
 * ``parent_span_id`` — the minting scope (``None`` at the root).
 * ``lam``       — Lamport clock sample at the last hand-off.
@@ -12,11 +13,11 @@ A :class:`TraceContext` names one causal scope of a distributed run:
 Unlike wall-clock tracing systems, identifiers are **derived, not
 random**: ``trace_id`` and ``span_id`` are SHA-256 prefixes of their
 parent path, so the same seed and topology mint byte-identical ids in
-every run — traces stay diffable and the merge regress gate can demand
+every run — traces stay diffable and a regress gate can demand
 byte-equality.
 
 Wire form (the optional ``ctx`` key of Master protocol messages and the
-``ctx`` manifest entry of trace shards)::
+``ctx`` manifest entry of a trace)::
 
     {"run": "...", "trace": "...", "span": "...", "parent": "...", "lam": 7}
 
@@ -33,7 +34,7 @@ from typing import Any, Dict, Mapping, Optional
 __all__ = ["TraceContext", "derive_id"]
 
 # Hex digits kept from the SHA-256 digest; 64 bits of id space is ample
-# for the tens of thousands of spans a campaign mints.
+# for the tens of thousands of spans a long run mints.
 _ID_HEX = 16
 
 
@@ -81,7 +82,7 @@ class TraceContext:
     # -- wire form ---------------------------------------------------------
 
     def to_wire(self) -> Dict[str, Any]:
-        """Compact dict for protocol messages and shard manifests."""
+        """Compact dict for protocol messages and trace manifests."""
         wire: Dict[str, Any] = {
             "run": self.run_id,
             "trace": self.trace_id,

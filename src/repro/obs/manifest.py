@@ -27,8 +27,6 @@ __all__ = [
     "config_digest",
     "git_revision",
     "scrub_wall_fields",
-    "utc_now_iso",
-    "wall_now_s",
 ]
 
 # Manifest keys that carry wall-clock information.
@@ -60,21 +58,6 @@ def git_revision(path: Optional[str] = None) -> str:
     if out.returncode != 0:
         return "unknown"
     return out.stdout.strip() or "unknown"
-
-
-def utc_now_iso() -> str:
-    """The current UTC instant, ISO-formatted.
-
-    Telemetry callers outside the DET002 allowlist (e.g. the campaign
-    worker heartbeats) go through this helper instead of reading the
-    clock themselves — the reading stays confined to telemetry records.
-    """
-    return datetime.now(timezone.utc).isoformat()
-
-
-def wall_now_s() -> float:
-    """Epoch seconds, for telemetry staleness checks (see utc_now_iso)."""
-    return time.time()
 
 
 def build_manifest(

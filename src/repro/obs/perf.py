@@ -12,8 +12,7 @@ trajectory in ``benchmarks/BENCH_engine.json``.  Its parts:
   path: the :mod:`repro.sim` engines, the gateway
   detect/dispatch/decode pipeline, the phy link-budget and
   interference evaluation, the retransmission rounds, the channel
-  planner, the capacity upgrade's steps, and the scenario compiler's
-  build stages.
+  planner and the capacity upgrade's steps.
 * Throughput: engine events per wall second and simulated seconds per
   wall second, plus an optional ``tracemalloc`` memory high-water.
 * Hotspots: top-N functions by own time via stdlib :mod:`cProfile`
@@ -65,16 +64,12 @@ PERF_SCHEMA_VERSION = 1
 class Phase:
     """The hot-path phase taxonomy (DESIGN.md §13).
 
-    One phase per stage of the per-packet pipeline, the scenario
-    compiler's coarse build stages, the capacity upgrade's steps and
-    the retransmission rounds; phases never overlap, so their estimated
-    wall times sum to an attribution of the run.
+    One phase per stage of the per-packet pipeline, the capacity
+    upgrade's steps and the retransmission rounds; phases never
+    overlap, so their estimated wall times sum to an attribution of
+    the run.
     """
 
-    BUILD = "compile.build"
-    ASSIGN = "compile.assign"
-    TRAFFIC = "compile.traffic"
-    AGGREGATE = "compile.aggregate"
     OBSERVE = "phy.observe"
     DETECT = "gw.detect"
     DISPATCH = "gw.dispatch"
@@ -92,9 +87,6 @@ class Phase:
 
 # phase -> one-line description, in canonical table order.
 PHASES: Dict[str, str] = {
-    Phase.BUILD: "topology + network construction",
-    Phase.ASSIGN: "channel/DR assignment",
-    Phase.TRAFFIC: "traffic schedule generation",
     Phase.SYNC: "Master spectrum-sharing exchange",
     Phase.PLAN: "CP input + GA solve + refinement (items = devices)",
     Phase.DISTRIBUTE: "gateway configuration distribution",
@@ -110,7 +102,6 @@ PHASES: Dict[str, str] = {
     Phase.EMIT: "final outcome emission (trace/metrics)",
     Phase.RETRANSMIT: "retransmission round scheduling (items = fresh "
     "retransmissions)",
-    Phase.AGGREGATE: "result aggregation (PRR, breakdowns)",
 }
 
 
@@ -174,12 +165,11 @@ class PhaseStat:
 class PerfProbe:
     """Collects hot-path phase statistics for one observed execution.
 
-    Single-threaded by design: campaign workers each run their own
-    probe in their own process, and the profiling CLI drives one
-    simulation at a time.  Attach with :meth:`attach` (or
-    :func:`maybe_attach`); :func:`repro.obs.observe` does not manage
-    this slot.  Hot-path hooks read ``runtime.PERF`` and are a single
-    attribute load plus a ``None`` check when disabled.
+    Single-threaded by design: the profiling CLI drives one simulation
+    at a time.  Attach with :meth:`attach`; :func:`repro.obs.observe`
+    does not manage this slot.  Hot-path hooks read ``runtime.PERF``
+    and are a single attribute load plus a ``None`` check when
+    disabled.
     """
 
     def __init__(
@@ -224,8 +214,7 @@ class PerfProbe:
     def attach(self) -> Iterator["PerfProbe"]:
         """Install this probe into ``runtime.PERF`` for the block.
 
-        Raises ``RuntimeError`` when another probe is already attached
-        (use :func:`maybe_attach` for opportunistic attachment).
+        Raises ``RuntimeError`` when another probe is already attached.
         """
         if runtime.PERF is not None:
             raise RuntimeError("a performance probe is already attached")
@@ -355,25 +344,11 @@ class PerfProbe:
         return self._attached_wall_s
 
 
-@contextmanager
-def maybe_attach(probe: PerfProbe) -> Iterator[Optional[PerfProbe]]:
-    """Attach ``probe`` unless a probe already owns the slot.
-
-    Campaign workers use this so profiling an entire campaign from the
-    outside is not broken by the per-run probes.
-    """
-    if runtime.PERF is not None:
-        yield None
-        return
-    with probe.attach():
-        yield probe
-
-
 class phase_timed:
     """Times one phase block against the active probe (no-op when off).
 
     Used where a whole phase runs as one block (per-gateway batches,
-    compiler stages, planner solves, upgrade steps).  ``items`` scales
+    planner solves, upgrade steps).  ``items`` scales
     the per-item cost estimate; a block that learns its item count
     late may set it on the yielded object before it exits.
     """

@@ -6,7 +6,7 @@ language — whitespace-separated clauses of the form ``field OP value``
 
     type=gw.reception outcome=gateway_offline
     type=decoder.reject gw=2 t>=10 t<20
-    lam>=100 shard!=w-a1b2
+    lam>=100 net!=2
 
 Operators: ``=``, ``!=``, ``<``, ``<=``, ``>``, ``>=``.  Values coerce
 to numbers when both sides are numeric; otherwise comparison is string
@@ -14,13 +14,12 @@ equality (ordering operators on non-numeric fields never match).  A
 clause on a missing field fails, except ``!=`` which holds vacuously.
 
 ``repro.tools trace explain NET:NODE:CTR[:ATT]`` reconstructs one
-packet's causal chain: its lifecycle events in merged order, the
+packet's causal chain: its lifecycle events in trace order, the
 packet-level outcome (mirroring the loss-attribution precedence of
 :mod:`repro.sim.metrics` — decoder contention before channel contention
 before everything else), the single **outcome-deciding event**
 (highlighted ``>>>``), and the surrounding control-plane context
-(Master faults, gateway reboots) that explains *why* — including
-events from other processes when run on a merged trace.
+(Master faults, gateway reboots) that explains *why*.
 """
 
 from __future__ import annotations
@@ -194,37 +193,18 @@ def _order_key(ev: Event) -> int:
     return ev.get("seq", 0)
 
 
-def explain_packet(
-    events: Sequence[Event],
-    packet_id: str,
-    shard: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Reconstruct one packet's causal chain from a (merged) trace.
+def explain_packet(events: Sequence[Event], packet_id: str) -> Dict[str, Any]:
+    """Reconstruct one packet's causal chain from a trace.
 
     Returns a dict with the packet key, its lifecycle events, the
     packet-level ``outcome``, the index of the deciding event, and the
     surrounding control-plane context.  Raises :class:`ExplainError`
-    when the packet is absent or appears in several shards and no
-    ``shard`` disambiguator is given (campaign runs reuse packet keys).
+    when the packet is absent.
     """
     net, node, ctr, att = parse_packet_id(packet_id)
     chain = [ev for ev in events if _is_packet_event(ev, net, node, ctr, att)]
     if not chain:
         raise ExplainError(f"no events for packet {packet_id}")
-    shards = sorted({str(ev["shard"]) for ev in chain if "shard" in ev})
-    if shard is not None:
-        chain = [ev for ev in chain if str(ev.get("shard", "")) == shard]
-        if not chain:
-            raise ExplainError(
-                f"no events for packet {packet_id} in shard {shard} "
-                f"(present in: {', '.join(shards)})"
-            )
-        shards = [shard]
-    elif len(shards) > 1:
-        raise ExplainError(
-            f"packet {packet_id} appears in {len(shards)} shards "
-            f"({', '.join(shards)}); pass --shard to choose one"
-        )
     chain.sort(key=_order_key)
 
     final_att = max(int(ev.get("att", 0)) for ev in chain)
@@ -240,9 +220,9 @@ def explain_packet(
         if ev.get("type") == EventType.NETSERVER_UPLINK
         and int(ev.get("att", 0)) == final_att
     ]
-    outcome, deciding = _decide(events, chain, receptions, uplinks, shards)
+    outcome, deciding = _decide(events, chain, receptions, uplinks)
 
-    context = _control_context(events, chain, shards, deciding)
+    context = _control_context(events, chain, deciding)
     deciding_index = None
     if deciding is not None:
         for i, ev in enumerate(chain):
@@ -257,7 +237,6 @@ def explain_packet(
                 context.sort(key=_order_key)
     return {
         "packet": {"net": net, "node": node, "ctr": ctr, "att": att},
-        "shards": shards,
         "final_att": final_att,
         "outcome": outcome,
         "events": chain,
@@ -272,7 +251,6 @@ def _decide(
     chain: List[Event],
     receptions: List[Event],
     uplinks: List[Event],
-    shards: List[str],
 ) -> Tuple[str, Optional[Event]]:
     """The packet-level outcome and the event that decided it."""
     if uplinks:
@@ -295,15 +273,13 @@ def _decide(
         if rejects:
             return outcome, rejects[-1]
     if outcome == "gateway_offline" and decider is not None:
-        reboot = _nearest_reboot(events, decider, shards)
+        reboot = _nearest_reboot(events, decider)
         if reboot is not None:
             return outcome, reboot
     return outcome, decider
 
 
-def _nearest_reboot(
-    events: Sequence[Event], reception: Event, shards: List[str]
-) -> Optional[Event]:
+def _nearest_reboot(events: Sequence[Event], reception: Event) -> Optional[Event]:
     """The reboot that darkened ``reception``'s gateway at its instant.
 
     Prefers the latest reboot at or before the reception's sim time on
@@ -315,8 +291,6 @@ def _nearest_reboot(
     first_after: Optional[Event] = None
     for ev in events:
         if ev.get("type") != EventType.GW_REBOOT or ev.get("gw") != gw:
-            continue
-        if shards and "shard" in ev and str(ev["shard"]) not in shards:
             continue
         et = ev.get("t")
         if isinstance(et, (int, float)) and isinstance(t, (int, float)):
@@ -330,10 +304,9 @@ def _nearest_reboot(
 def _control_context(
     events: Sequence[Event],
     chain: List[Event],
-    shards: List[str],
     deciding: Optional[Event],
 ) -> List[Event]:
-    """Control-plane events around the packet's merged-order window."""
+    """Control-plane events around the packet's trace-order window."""
     if not chain:
         return []
     lo = min(_order_key(ev) for ev in chain) - _CONTEXT_WINDOW
@@ -346,7 +319,6 @@ def _control_context(
         for ev in events
         if ev.get("type") in _CONTEXT_TYPES
         and lo <= _order_key(ev) <= hi
-        and (not shards or "shard" not in ev or str(ev["shard"]) in shards)
     ]
     out.sort(key=_order_key)
     return out
@@ -354,7 +326,7 @@ def _control_context(
 
 # -- rendering ------------------------------------------------------------
 
-_SKIP_FIELDS = ("seq", "type", "t", "sseq")
+_SKIP_FIELDS = ("seq", "type", "t")
 
 
 def _format_event(ev: Event, marker: str = "   ") -> str:
@@ -376,10 +348,7 @@ def render_explain(report: Dict[str, Any]) -> str:
     key = f"{pk['net']}:{pk['node']}:{pk['ctr']}" + (
         f":{att}" if att is not None else ""
     )
-    lines = [
-        f"packet {key} — outcome: {report['outcome']}"
-        + (f" (shard {report['shards'][0]})" if report["shards"] else "")
-    ]
+    lines = [f"packet {key} — outcome: {report['outcome']}"]
     deciding = report.get("deciding")
     lines.append("lifecycle:")
     for i, ev in enumerate(report["events"]):

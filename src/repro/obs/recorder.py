@@ -130,8 +130,8 @@ class TraceRecorder:
         """Adopt ``ctx`` as this process's causal scope.
 
         Merges the context's Lamport sample into the local clock and
-        records the context in the manifest so exported shards are
-        self-describing for :mod:`repro.obs.merge`.
+        records the context in the manifest, so an exported trace names
+        the causal scope it was recorded under.
         """
         self.context = ctx
         self.merge_clock(ctx.lam)

@@ -29,8 +29,6 @@ PACKAGES = [
     "repro.core",
     "repro.analysis",
     "repro.experiments",
-    "repro.scenarios",
-    "repro.campaign",
     "repro.obs",
     "repro.tools",
 ]

@@ -10,20 +10,12 @@ Usage::
     python -m repro.tools trace summarize chaos.jsonl
     python -m repro.tools trace render chaos.jsonl --bucket-s 2
     python -m repro.tools trace diff a.jsonl b.jsonl
-    python -m repro.tools trace merge campaigns/chaos/traces --out merged.jsonl
-    python -m repro.tools trace query merged.jsonl "type=gw.reception outcome=gateway_offline"
-    python -m repro.tools trace explain merged.jsonl 1:17:0
-    python -m repro.tools campaign run scenarios/chaos-campaign.yaml --jobs 4 --trace
+    python -m repro.tools trace query chaos.jsonl "type=gw.reception outcome=gateway_offline"
+    python -m repro.tools trace explain chaos.jsonl 1:9:1:0
     python -m repro.tools regress a.jsonl b.jsonl --rel-tol 0.1
-    python -m repro.tools campaign run scenarios/fig02.yaml --jobs 4
-    python -m repro.tools campaign status campaigns/fig02
-    python -m repro.tools campaign status campaigns/fig02 --live
-    python -m repro.tools campaign report campaigns/fig02 --json report.json
-    python -m repro.tools campaign diff campaigns/fig02 other/fig02
-    python -m repro.tools profile scenarios/fig04.yaml
-    python -m repro.tools profile scenarios/fig04.yaml --json perf.json
+    python -m repro.tools profile fig4a
+    python -m repro.tools profile chaos --seed 3 --json perf.json
     python -m repro.tools watch --trace chaos.jsonl --once
-    python -m repro.tools watch --campaign campaigns/fig02
     python -m repro.tools drill --seed 7 --max-recovery-s 2.0
     python -m repro.tools lint src tests --format json
     python -m repro.tools lint src tests --deep
@@ -35,23 +27,19 @@ as JSON — with ``--trace`` / ``--metrics`` the run executes inside an
 observability session and exports the JSONL trace / Prometheus
 snapshot.  ``render`` draws the headline series as an ASCII chart.
 ``trace`` inspects a previously written JSONL trace (``diff`` compares
-two); ``trace merge`` joins per-process shards into one deterministic
-causally-ordered trace, ``trace query`` filters with a small
-``field OP value`` expression language, and ``trace explain`` walks one
-packet's cross-process causal chain and highlights the event that
-decided its outcome.  ``regress`` compares two run artifacts against tolerances and
-exits non-zero on drift.  ``campaign`` compiles a declarative scenario
-spec (:mod:`repro.scenarios`) into its seeded sweep grid and runs it in
-parallel with crash-tolerant resume (:mod:`repro.campaign`); ``campaign
-status --live`` adds per-worker heartbeats and a fleet ETA.
-``profile`` executes one run of a scenario spec under the performance
-observatory (:mod:`repro.obs.perf`) and renders throughput, the phase
-table and cProfile hotspots — ``--json`` for the raw report.
-``watch`` renders a live health dashboard from an exporter
-URL, a growing trace file, or a campaign directory's fleet telemetry.  ``drill`` runs the
-Master failover drill (:func:`repro.faults.drill.run_drill`): crash
-the Master mid-campaign, recover from snapshot + journal, exit
-non-zero if any crash-safety invariant fails.  ``lint`` runs the
+two); ``trace query`` filters with a small ``field OP value``
+expression language, and ``trace explain`` walks one packet's causal
+chain and highlights the event that decided its outcome.  ``regress``
+compares two run artifacts against tolerances and exits non-zero on
+drift.  ``profile`` runs one experiment driver (fast settings, as
+``render`` does) under the performance observatory
+(:mod:`repro.obs.perf`) and renders throughput, the phase table and
+cProfile hotspots — ``--json`` for the raw report.  ``watch`` renders
+a live health dashboard from an exporter URL or a growing trace file.
+``drill`` runs the Master failover drill
+(:func:`repro.faults.drill.run_drill`): crash the Master mid-campaign,
+recover from snapshot + journal, exit non-zero if any crash-safety
+invariant fails.  ``lint`` runs the
 determinism & invariant linter (:mod:`repro.lint`) over the tree;
 ``--deep`` adds the whole-program passes (call-graph purity, lock
 discipline, hot-loop hygiene), ``--changed [REF]`` restricts reporting
@@ -66,7 +54,7 @@ import inspect
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .. import experiments
 from ..lint.cli import add_lint_arguments, run_lint
@@ -252,54 +240,27 @@ def _run_observed(args, fast: bool):
 def _refuse_ambiguous_trace(path: str, command: str) -> Optional[str]:
     """Reject input one single-trace command cannot interpret.
 
-    Returns an error message for a directory of shards or a file with
-    several manifest lines (concatenated shards); ``None`` when the
-    path is a plain single trace.
+    Returns an error message for a directory or a file with several
+    manifest lines (concatenated traces); ``None`` when the path is a
+    plain single trace.
     """
     if os.path.isdir(path):
         return (
-            f"trace {command}: {path!r} is a directory of shards — "
-            "ambiguous for a single-trace command; combine it first "
-            f"with 'repro.tools trace merge {path} --out merged.jsonl'"
+            f"trace {command}: {path!r} is a directory — "
+            "pass the JSONL file of one run"
         )
     events = load_trace(path)
     manifests = sum(1 for ev in events if ev.get("type") == "manifest")
     if manifests > 1:
         return (
             f"trace {command}: {path!r} carries {manifests} manifests "
-            "(concatenated shards?) — concatenation loses causal order; "
-            "combine the original shards with 'repro.tools trace merge'"
+            "(concatenated traces?) — their sequence numbers and sim "
+            "times restart per run; pass the JSONL file of one run"
         )
     return None
 
 
-def _trace_merge_command(args) -> int:
-    from ..obs.merge import MergeError, discover_shards, merge_to_jsonl
-
-    try:
-        paths: List[str] = []
-        for path in args.paths:
-            paths.extend(discover_shards(path))
-        jsonl = merge_to_jsonl(paths)
-    except (MergeError, OSError) as exc:
-        print(f"trace merge: {exc}", file=sys.stderr)
-        return 2
-    if args.out_path:
-        with open(args.out_path, "w") as fh:
-            fh.write(jsonl)
-        print(
-            f"wrote {args.out_path} ({len(paths)} shards, "
-            f"{jsonl.count(chr(10)) - 1} events)",
-            file=sys.stderr,
-        )
-    else:
-        sys.stdout.write(jsonl)
-    return 0
-
-
 def _trace_command(args) -> int:
-    if args.trace_command == "merge":
-        return _trace_merge_command(args)
     refusal = _refuse_ambiguous_trace(args.path, args.trace_command)
     if refusal is None and args.trace_command == "diff":
         refusal = _refuse_ambiguous_trace(args.path_b, args.trace_command)
@@ -329,7 +290,7 @@ def _trace_command(args) -> int:
         from ..obs.query import ExplainError, explain_packet, render_explain
 
         try:
-            report = explain_packet(events, args.packet, shard=args.shard)
+            report = explain_packet(events, args.packet)
         except ExplainError as exc:
             print(f"trace explain: {exc}", file=sys.stderr)
             return 2
@@ -390,75 +351,6 @@ def _regress_command(args) -> int:
     return 0
 
 
-def _campaign_command(args) -> int:
-    from ..campaign import (
-        CampaignError,
-        campaign_diff,
-        campaign_report,
-        campaign_status,
-        fleet_status,
-        run_campaign,
-    )
-    from ..scenarios import SpecError, YamlError, load_spec
-
-    def emit(payload: Dict, json_path: Optional[str]) -> None:
-        text = json.dumps(payload, indent=2, default=str)
-        if json_path:
-            with open(json_path, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {json_path}", file=sys.stderr)
-        else:
-            print(text)
-
-    try:
-        if args.campaign_command == "run":
-            spec = load_spec(args.spec)
-            out_dir = args.out_dir or os.path.join("campaigns", spec.name)
-            summary = run_campaign(
-                spec,
-                out_dir,
-                jobs=args.jobs,
-                resume=not args.no_resume,
-                progress=lambda msg: print(msg, file=sys.stderr),
-                trace=args.trace,
-            )
-            emit(summary, args.json_path)
-            return 1 if summary["failed"] else 0
-        if args.campaign_command == "status":
-            if args.live:
-                from .watch import render_fleet
-
-                status = fleet_status(args.dir)
-                if args.json_path:
-                    emit(status, args.json_path)
-                else:
-                    print(render_fleet(status))
-                return 0
-            status = campaign_status(args.dir)
-            emit(status, args.json_path)
-            return 0
-        if args.campaign_command == "report":
-            emit(campaign_report(args.dir), args.json_path)
-            return 0
-        if args.campaign_command == "diff":
-            report = campaign_diff(
-                args.dir_a,
-                args.dir_b,
-                default=Tolerance(rel_tol=args.rel_tol, abs_tol=args.abs_tol),
-            )
-            emit(report, args.json_path)
-            if report["status"] != "pass":
-                for run in report["runs"]:
-                    if run["status"] != "pass":
-                        print(f"campaign diff: run {run['key']} drifted", file=sys.stderr)
-                return 1
-            return 0
-    except (OSError, CampaignError, SpecError, YamlError) as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
-    return 2
-
-
 def _profile_command(args) -> int:
     from ..obs.perf import (
         render_hotspots,
@@ -466,44 +358,23 @@ def _profile_command(args) -> int:
         render_throughput,
         run_profiled,
     )
-    from ..scenarios import SpecError, YamlError, execute_run, load_spec
 
-    try:
-        spec = load_spec(args.spec)
-    except (OSError, SpecError, YamlError) as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return 2
-    runs = spec.runs()
-    if not 0 <= args.run_index < len(runs):
-        print(
-            f"profile: --run-index {args.run_index} out of range "
-            f"(spec has {len(runs)} runs)",
-            file=sys.stderr,
-        )
-        return 2
-    run = runs[args.run_index]
+    def run():
+        return _call_driver(args.name, args.seed, True)
+
     if not args.no_warmup:
         # Warm-up run outside the probe: without it, first-import and
         # cache-fill costs dominate the wall time and the phase table
-        # attributes almost nothing (cold attribution can drop below
-        # 15% on small scenarios; warmed, it sits above 90%).
-        execute_run(run)
-    result, report = run_profiled(
-        lambda: execute_run(run),
+        # attributes little of it.
+        run()
+    _, report = run_profiled(
+        run,
         sample_every=args.sample_every,
         cprofile=not args.no_cprofile,
         memory=args.memory,
         top_n=args.top,
     )
-    payload = {
-        "spec": spec.name,
-        "spec_path": args.spec,
-        "run_id": run.run_id,
-        "run_index": run.index,
-        "seed": run.seed,
-        "result_kind": result.get("kind") if isinstance(result, dict) else None,
-        "report": report,
-    }
+    payload = {"experiment": args.name, "seed": args.seed, "report": report}
     if args.json_path:
         text = json.dumps(payload, indent=2, default=str)
         if args.json_path == "-":
@@ -513,7 +384,7 @@ def _profile_command(args) -> int:
                 fh.write(text + "\n")
             print(f"wrote {args.json_path}", file=sys.stderr)
         return 0
-    header = f"profile: {spec.name} run {run.run_id} (seed {run.seed})"
+    header = f"profile: {args.name} (seed {args.seed})"
     print(header)
     print("=" * len(header))
     print(render_throughput(report))
@@ -693,21 +564,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     diff_p.add_argument("path")
     diff_p.add_argument("path_b")
-    merge_p = trace_sub.add_parser(
-        "merge",
-        help="combine per-process shards into one causally-ordered trace",
-    )
-    merge_p.add_argument(
-        "paths",
-        nargs="+",
-        help="shard files, or directories of shards (flight dumps skipped)",
-    )
-    merge_p.add_argument(
-        "--out",
-        dest="out_path",
-        default=None,
-        help="write the merged JSONL here (default: stdout)",
-    )
     query_p = trace_sub.add_parser(
         "query",
         help="filter events with 'field OP value' clauses "
@@ -723,11 +579,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     explain_p.add_argument("path")
     explain_p.add_argument("packet", help="packet id NET:NODE:CTR[:ATT]")
-    explain_p.add_argument(
-        "--shard",
-        default=None,
-        help="disambiguate when the packet id recurs across shards",
-    )
     explain_p.add_argument(
         "--json",
         dest="json_path",
@@ -780,12 +631,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="tail a (growing) trace JSONL file instead of an endpoint",
     )
-    watch_src.add_argument(
-        "--campaign",
-        dest="campaign_dir",
-        default=None,
-        help="show a running campaign's fleet telemetry (heartbeats)",
-    )
     watch_p.add_argument(
         "--interval",
         dest="interval_s",
@@ -804,74 +649,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="render a single frame and exit (same as --frames 1)",
     )
-
-    campaign_p = sub.add_parser(
-        "campaign",
-        help="compile a scenario spec and run/inspect its sweep campaign",
-    )
-    campaign_sub = campaign_p.add_subparsers(dest="campaign_command", required=True)
-    crun_p = campaign_sub.add_parser(
-        "run", help="execute every pending run of a scenario spec"
-    )
-    crun_p.add_argument("spec", help="scenario spec file (.yaml or .json)")
-    crun_p.add_argument(
-        "--out",
-        dest="out_dir",
-        default=None,
-        help="campaign directory (default campaigns/<spec name>)",
-    )
-    crun_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="parallel worker processes (default 1; results identical)",
-    )
-    crun_p.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="re-execute runs even when their results already exist",
-    )
-    crun_p.add_argument(
-        "--trace",
-        action="store_true",
-        help="record per-run causal trace shards under <out>/traces/",
-    )
-    crun_p.add_argument(
-        "--json",
-        dest="json_path",
-        default=None,
-        help="write the run summary to this file instead of stdout",
-    )
-    cstat_p = campaign_sub.add_parser(
-        "status", help="grid completion of a campaign directory"
-    )
-    cstat_p.add_argument("dir")
-    cstat_p.add_argument(
-        "--live",
-        action="store_true",
-        help="fleet view: per-worker heartbeats, throughput and ETA",
-    )
-    cstat_p.add_argument("--json", dest="json_path", default=None)
-    crep_p = campaign_sub.add_parser(
-        "report", help="per-run rows + aggregates over finished runs"
-    )
-    crep_p.add_argument("dir")
-    crep_p.add_argument("--json", dest="json_path", default=None)
-    cdiff_p = campaign_sub.add_parser(
-        "diff", help="regression-check one campaign against another"
-    )
-    cdiff_p.add_argument("dir_a")
-    cdiff_p.add_argument("dir_b")
-    cdiff_p.add_argument(
-        "--rel-tol",
-        type=float,
-        default=0.05,
-        help="default relative tolerance (fraction, default 0.05)",
-    )
-    cdiff_p.add_argument(
-        "--abs-tol", type=float, default=1e-9, help="default absolute tolerance"
-    )
-    cdiff_p.add_argument("--json", dest="json_path", default=None)
 
     drill_p = sub.add_parser(
         "drill",
@@ -935,16 +712,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     profile_p = sub.add_parser(
         "profile",
-        help="run one scenario run under the performance observatory",
+        help="run an experiment under the performance observatory",
     )
-    profile_p.add_argument("spec", help="scenario spec file (.yaml or .json)")
-    profile_p.add_argument(
-        "--run-index",
-        dest="run_index",
-        type=int,
-        default=0,
-        help="which grid run to profile (default 0)",
-    )
+    profile_p.add_argument("name", choices=sorted(EXPERIMENTS))
+    profile_p.add_argument("--seed", type=int, default=0)
     profile_p.add_argument(
         "--sample-every",
         dest="sample_every",
@@ -1024,16 +795,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_watch(
             url=args.url,
             trace_path=args.trace_path,
-            campaign_dir=args.campaign_dir,
             interval_s=args.interval_s,
             frames=1 if args.once else args.frames,
         )
 
     if args.command == "profile":
         return _profile_command(args)
-
-    if args.command == "campaign":
-        return _campaign_command(args)
 
     if args.command == "drill":
         return _drill_command(args)

@@ -7,12 +7,9 @@ and active alerts — from either source the observatory exposes:
   (``--url http://127.0.0.1:8000``), or
 * a growing trace JSONL file (``--trace chaos.jsonl``) that a traced run
   is appending to; events are tailed incrementally into a local
-  :class:`~repro.obs.health.HealthMonitor`, or
-* a campaign directory (``--campaign campaigns/fig02``) whose worker
-  heartbeats (:func:`repro.campaign.fleet_status`) drive a fleet
-  progress view — per-worker throughput, completion bar and ETA.
+  :class:`~repro.obs.health.HealthMonitor`.
 
-The renderers are pure (dict in, string out) so tests drive them
+The renderer is pure (dict in, string out) so tests drive it
 without a terminal, and the tail-follower is incremental so watching a
 multi-megabyte trace stays O(new events) per frame.
 """
@@ -33,7 +30,6 @@ __all__ = [
     "TraceFollower",
     "fetch_healthz",
     "render_dashboard",
-    "render_fleet",
     "watch",
 ]
 
@@ -171,105 +167,27 @@ def render_dashboard(
     return "\n".join(lines)
 
 
-def _fmt_eta(eta_s: Optional[float]) -> str:
-    if eta_s is None:
-        return "?"
-    if eta_s >= 90:
-        return f"{eta_s / 60:.1f}min"
-    return f"{eta_s:.0f}s"
-
-
-def render_fleet(status: Mapping[str, Any], width: int = 30) -> str:
-    """Render one fleet frame from a ``fleet_status`` payload.
-
-    Pure (dict in, string out): ``campaign status --live`` and
-    ``watch --campaign`` both print exactly this.
-    """
-    lines: List[str] = []
-    total = int(status.get("total") or 0)
-    completed = int(status.get("completed") or 0)
-    pending = int(status.get("pending") or 0)
-    header = (
-        f"campaign {status.get('name', '?')}: "
-        f"{completed}/{total} done, {pending} pending"
-    )
-    lines.append(header)
-    lines.append("=" * len(header))
-    share = completed / total if total else 0.0
-    filled = int(round(share * width))
-    lines.append(f"[{'#' * filled}{'-' * (width - filled)}] {share:.0%}")
-
-    workers = status.get("workers") or []
-    lines.append("")
-    if workers:
-        head = (
-            f"{'worker':<10} {'runs':>5} {'last run':<22} "
-            f"{'last_s':>7} {'ev/s':>9} {'age':>6}"
-        )
-        lines.append(head)
-        lines.append("-" * len(head))
-        for w in workers:
-            mark = "~" if w.get("stale") else "+"
-            last_s = w.get("last_wall_s")
-            eps = w.get("last_eps")
-            lines.append(
-                f"{mark}{str(w.get('worker', '?')):<9} "
-                f"{w.get('runs_done', 0):>5} "
-                f"{str(w.get('last_run_id') or '-'):<22} "
-                f"{(f'{last_s:.2f}' if last_s is not None else '-'):>7} "
-                f"{(f'{eps:,.0f}' if eps is not None else '-'):>9} "
-                f"{w.get('age_s', 0.0):>5.0f}s"
-            )
-    else:
-        lines.append("(no worker heartbeats; campaign idle or finished)")
-
-    fleet = status.get("fleet") or {}
-    mean_s = fleet.get("mean_run_wall_s")
-    lines.append("")
-    lines.append(
-        f"fleet: {fleet.get('active', 0)}/{fleet.get('workers', 0)} "
-        f"workers active, "
-        f"{(f'{mean_s:.2f}' if mean_s is not None else '?')} s/run mean, "
-        f"ETA {_fmt_eta(fleet.get('eta_s'))}"
-    )
-    return "\n".join(lines)
-
-
 def watch(
     url: Optional[str] = None,
     trace_path: Optional[str] = None,
-    campaign_dir: Optional[str] = None,
     interval_s: float = 1.0,
     frames: Optional[int] = None,
     out: Optional[TextIO] = None,
 ) -> int:
     """Render the dashboard repeatedly; returns a process exit code.
 
-    Exactly one of ``url`` / ``trace_path`` / ``campaign_dir`` must be
-    given.  ``frames`` bounds the number of refreshes (None = until
+    Exactly one of ``url`` / ``trace_path`` must be given.  ``frames`` bounds the number of refreshes (None = until
     interrupted); tests pass ``frames=1`` for a single snapshot.
     """
-    sources = sum(x is not None for x in (url, trace_path, campaign_dir))
-    if sources != 1:
-        print(
-            "watch: pass exactly one of --url / --trace / --campaign",
-            file=sys.stderr,
-        )
+    if (url is None) == (trace_path is None):
+        print("watch: pass exactly one of --url / --trace", file=sys.stderr)
         return 2
     stream = out if out is not None else sys.stdout
     follower = TraceFollower(trace_path) if trace_path is not None else None
     rendered = 0
     try:
         while frames is None or rendered < frames:
-            if campaign_dir is not None:
-                from ..campaign import CampaignError, fleet_status
-
-                try:
-                    frame = render_fleet(fleet_status(campaign_dir))
-                except (OSError, CampaignError) as exc:
-                    print(f"watch: {campaign_dir}: {exc}", file=sys.stderr)
-                    return 1
-            elif follower is not None:
+            if follower is not None:
                 follower.poll()
                 healthz = follower.healthz()
                 alerts = follower.alerts()

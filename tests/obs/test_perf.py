@@ -8,17 +8,17 @@ volatile-key filter drops wholesale), and zero effect on the simulation
 """
 
 import json
-import os
 
 import pytest
 
+from repro.experiments.chaos import run_chaos
+from repro.experiments.fig02 import run_fig2a
 from repro.obs import observe, runtime
 from repro.obs.perf import (
     PHASES,
     PerfProbe,
     Phase,
     PhaseStat,
-    maybe_attach,
     perf_count,
     phase_timed,
     profile_hotspots,
@@ -28,24 +28,6 @@ from repro.obs.perf import (
     run_profiled,
 )
 from repro.obs.regress import compare_metrics, metrics_from_result
-from repro.scenarios import load_spec, parse_spec
-from repro.scenarios.compile import execute_run
-
-CHAOS = os.path.join(
-    os.path.dirname(__file__), "..", "..", "scenarios", "chaos.yaml"
-)
-
-SPEC = (
-    "meta: {name: perf}\n"
-    "seed: 0\n"
-    "run: {seed_stride: 1}\n"
-    "networks: {devices: 10}\n"
-    "traffic: {shuffle: true}\n"
-)
-
-
-def _run():
-    return parse_spec(SPEC, "perf.yaml").runs()[0]
 
 
 class TestPhaseStat:
@@ -100,14 +82,6 @@ class TestProbeLifecycle:
                 with PerfProbe().attach():
                     pass
 
-    def test_maybe_attach_defers_to_outer_probe(self):
-        outer, inner = PerfProbe(), PerfProbe()
-        with maybe_attach(outer) as a:
-            assert a is outer
-            with maybe_attach(inner) as b:
-                assert b is None
-                assert runtime.PERF is outer
-
     def test_probe_survives_runtime_deactivate(self):
         # The perf slot has its own lifecycle: observe() teardown must
         # not detach a probe wrapping the whole session.
@@ -132,7 +106,7 @@ class TestDeterminism:
         for _ in range(2):
             probe = PerfProbe(sample_every=4)
             with probe.attach():
-                execute_run(_run())
+                run_fig2a()
             reports.append(probe.report())
         assert reports[0]["deterministic"] == reports[1]["deterministic"]
 
@@ -141,7 +115,7 @@ class TestDeterminism:
         for sample_every in (1, 16):
             probe = PerfProbe(sample_every=sample_every)
             with probe.attach():
-                execute_run(_run())
+                run_fig2a()
             det = probe.report()["deterministic"]
             det.pop("sample_every")
             sections.append(det)
@@ -153,9 +127,9 @@ class TestDeterminism:
             with observe(trace=True) as session:
                 if attach_probe:
                     with PerfProbe().attach():
-                        result = execute_run(_run())
+                        result = run_fig2a()
                 else:
-                    result = execute_run(_run())
+                    result = run_fig2a()
             baselines.append((result, session.recorder.to_jsonl()))
         assert baselines[0][0] == baselines[1][0]
         assert baselines[0][1] == baselines[1][1]  # byte-identical trace
@@ -163,18 +137,15 @@ class TestDeterminism:
     def test_phases_cover_the_pipeline(self):
         probe = PerfProbe()
         with probe.attach():
-            execute_run(_run())
+            run_fig2a()
         recorded = set(probe.report()["deterministic"]["phases"])
         expected = {
-            Phase.BUILD,
-            Phase.ASSIGN,
             Phase.OBSERVE,
             Phase.DETECT,
             Phase.DISPATCH,
             Phase.DECODE,
             Phase.COLLECT,
             Phase.EMIT,
-            Phase.AGGREGATE,
         }
         assert expected <= recorded
         assert recorded <= set(PHASES)
@@ -182,7 +153,7 @@ class TestDeterminism:
     def test_chaos_phases_time_the_upgrade_and_retransmissions(self):
         probe = PerfProbe()
         with probe.attach():
-            execute_run(load_spec(CHAOS).runs()[0])
+            run_chaos(seed=0, fast=True)
         phases = probe.report()["deterministic"]["phases"]
         assert set(phases) <= set(PHASES)
         assert phases[Phase.PLAN] == {"calls": 1, "items": 24}
@@ -195,7 +166,7 @@ class TestReport:
     def _report(self):
         probe = PerfProbe()
         with probe.attach():
-            execute_run(_run())
+            run_fig2a()
         return probe.report()
 
     def test_wall_clock_confined_to_wall_section(self):
@@ -230,7 +201,7 @@ class TestReport:
     def test_prometheus_exposition(self):
         probe = PerfProbe()
         with probe.attach():
-            execute_run(_run())
+            run_fig2a()
         text = probe.to_prometheus()
         assert "repro_perf_events_total" in text
         assert "repro_perf_events_per_second" in text
@@ -245,18 +216,14 @@ class TestHotspotsAndRunProfiled:
         assert {"func", "file", "line", "calls", "tottime_s"} <= set(rows[0])
 
     def test_run_profiled_full_report(self):
-        result, report = run_profiled(
-            lambda: execute_run(_run()), memory=True, top_n=3
-        )
-        assert result["offered"] > 0
-        assert report["deterministic"]["runs"] == 1
+        result, report = run_profiled(run_fig2a, memory=True, top_n=3)
+        assert result == run_fig2a()
+        assert report["deterministic"]["runs"] == 18  # 2 arms x 9 loads
         assert len(report["wall"]["hotspots"]) <= 3
         assert report["wall"]["memory_peak_kb"] is not None
 
     def test_run_profiled_without_cprofile(self):
-        _, report = run_profiled(
-            lambda: execute_run(_run()), cprofile=False
-        )
+        _, report = run_profiled(run_fig2a, cprofile=False)
         assert "hotspots" not in report["wall"]
 
 
@@ -279,26 +246,26 @@ class TestLintAllowlist:
 
 class TestRenderers:
     def _report(self):
-        _, report = run_profiled(lambda: execute_run(_run()), top_n=3)
+        _, report = run_profiled(run_fig2a, top_n=3)
         return report
 
     def test_phase_table(self):
         out = render_phase_table(self._report())
         assert "gw.decode" in out
         assert "attributed" in out
-        # Canonical order: build before detect before aggregate.
+        # Canonical order: observe before detect before emit.
         lines = out.splitlines()
         order = [
-            i for i, line in enumerate(lines)
-            if line.startswith(("compile.build", "gw.detect", "compile.agg"))
+            next(i for i, line in enumerate(lines) if line.startswith(name))
+            for name in (Phase.OBSERVE, Phase.DETECT, Phase.EMIT)
         ]
         assert order == sorted(order)
 
     def test_phase_table_columns_line_up(self):
-        # Two names longer than the 16 characters the column once had.
+        # A name longer than the 16 characters the column once had.
         probe = PerfProbe()
         with probe.attach():
-            for phase in (Phase.BUILD, Phase.AGGREGATE, Phase.DISTRIBUTE):
+            for phase in (Phase.PLAN, Phase.DISTRIBUTE, Phase.RETRANSMIT):
                 with phase_timed(phase, items=3):
                     pass
         lines = render_phase_table(probe.report()).splitlines()

@@ -182,16 +182,3 @@ class TestExplain:
     def test_unknown_packet_raises(self):
         with pytest.raises(ExplainError, match="no events"):
             explain_packet(_packet_trace(["received"]), "2:2:2")
-
-    def test_multi_shard_ambiguity_requires_shard(self):
-        events = []
-        for shard in ("aaaa", "bbbb"):
-            ev = _ev(len(events) + 1, "gw.reception", 1.0, net=1, node=9,
-                     ctr=1, att=0, gw=0, outcome="channel_mismatch")
-            ev["shard"] = shard
-            events.append(ev)
-        with pytest.raises(ExplainError, match="--shard"):
-            explain_packet(events, "1:9:1")
-        report = explain_packet(events, "1:9:1", shard="bbbb")
-        assert report["shards"] == ["bbbb"]
-        assert len(report["events"]) == 1

@@ -154,6 +154,23 @@ class TestCliObservability:
         out = capsys.readouterr().out
         assert "decoder-pool occupancy" in out
 
+    def test_trace_refuses_directory_and_concatenated_traces(
+        self, tmp_path, capsys
+    ):
+        manifest = json.dumps({"seq": 0, "type": "manifest", "schema": 2})
+        event = json.dumps({"seq": 1, "type": "sim.run_start", "t": 0.0})
+        concatenated = tmp_path / "two-runs.jsonl"
+        concatenated.write_text("\n".join([manifest, event] * 2) + "\n")
+        for path, says in (
+            (tmp_path, "is a directory"),
+            (concatenated, "carries 2 manifests"),
+        ):
+            assert main(["trace", "summarize", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert says in err
+            assert "pass the JSONL file of one run" in err
+            assert "merge" not in err
+
     def test_verbosity_flags_accepted(self, capsys):
         assert main(["-v", "list"]) == 0
         assert main(["-q", "list"]) == 0

@@ -1,38 +1,33 @@
-"""End-to-end tests for ``repro.tools profile`` and the fleet views."""
+"""End-to-end tests for ``repro.tools profile``."""
 
 import json
-import os
 
-from repro.campaign import CampaignStore
-from repro.obs.manifest import utc_now_iso, wall_now_s
+import pytest
+
 from repro.tools.cli import main
-from repro.tools.watch import render_fleet
-
-SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "scenarios")
-SMOKE = os.path.join(SPEC_DIR, "ci-smoke.yaml")
 
 
 class TestProfileCli:
     def test_text_report(self, capsys):
-        assert main(["profile", SMOKE, "--top", "5"]) == 0
+        assert main(["profile", "fig2a", "--top", "5"]) == 0
         out = capsys.readouterr().out
-        assert "profile: ci-smoke run" in out
+        assert "profile: fig2a (seed 0)" in out
         assert "events/s" in out
         assert "gw.decode" in out
         assert "own_ms" in out  # hotspot table
 
     def test_json_report_to_stdout(self, capsys):
-        assert main(["profile", SMOKE, "--json", "-"]) == 0
+        assert main(["profile", "fig2a", "--json", "-"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["spec"] == "ci-smoke"
-        assert payload["run_index"] == 0
+        assert payload["experiment"] == "fig2a"
+        assert payload["seed"] == 0
         report = payload["report"]
         assert report["deterministic"]["events"] > 0
         assert report["wall"]["events_per_s"] > 0
 
     def test_json_report_to_file(self, tmp_path, capsys):
         path = str(tmp_path / "perf.json")
-        assert main(["profile", SMOKE, "--json", path]) == 0
+        assert main(["profile", "fig2a", "--json", path]) == 0
         with open(path) as fh:
             payload = json.load(fh)
         assert payload["report"]["wall"]["hotspots"]
@@ -42,8 +37,8 @@ class TestProfileCli:
             main(
                 [
                     "profile",
-                    SMOKE,
-                    "--run-index",
+                    "fig2a",
+                    "--seed",
                     "1",
                     "--sample-every",
                     "4",
@@ -57,110 +52,27 @@ class TestProfileCli:
             == 0
         )
         payload = json.loads(capsys.readouterr().out)
-        assert payload["run_index"] == 1
+        assert payload["seed"] == 1
         report = payload["report"]
         assert report["deterministic"]["sample_every"] == 4
         assert "hotspots" not in report["wall"]
         assert report["wall"]["memory_peak_kb"] is not None
 
-    def test_bad_spec_and_bad_index(self, capsys):
-        assert main(["profile", "/nonexistent.yaml"]) == 2
-        assert "profile:" in capsys.readouterr().err
-        assert main(["profile", SMOKE, "--run-index", "99"]) == 2
-        assert "out of range" in capsys.readouterr().err
+    def test_unknown_experiment_rejected(self, capsys):
+        # A spec path is no longer a profile target: only registry names.
+        for target in ("nope", "scenarios/chaos.yaml"):
+            with pytest.raises(SystemExit) as exc:
+                main(["profile", target])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
-
-def _plant_heartbeat(out_dir, worker="w1", stale=False):
-    store = CampaignStore(out_dir)
-    store.write_heartbeat(
-        {
-            "schema": 1,
-            "worker": worker,
-            "pid": 7,
-            "campaign": "ci-smoke",
-            "runs_done": 3,
-            "busy_wall_s": 1.5,
-            "last_run_id": "0000-abc",
-            "last_index": 0,
-            "last_wall_s": 0.5,
-            "last_events": 600,
-            "last_eps": 1200.0,
-            "updated_at": utc_now_iso(),
-            "updated_wall_s": wall_now_s() - (9999 if stale else 0),
-        }
-    )
-
-
-class TestLiveStatus:
-    def test_live_text_view(self, tmp_path, capsys):
-        out = str(tmp_path / "c")
-        assert main(["campaign", "run", SMOKE, "--out", out]) == 0
-        capsys.readouterr()
-        _plant_heartbeat(out)
-        assert main(["campaign", "status", out, "--live"]) == 0
-        text = capsys.readouterr().out
-        assert "campaign ci-smoke: 4/4 done" in text
-        assert "+w1" in text
-        assert "1,200" in text  # last_eps column
-        assert "fleet: 1/1 workers active" in text
-
-    def test_live_json_view(self, tmp_path, capsys):
-        out = str(tmp_path / "c")
-        assert main(["campaign", "run", SMOKE, "--out", out]) == 0
-        capsys.readouterr()
-        path = str(tmp_path / "fleet.json")
-        assert main(["campaign", "status", out, "--live", "--json", path]) == 0
-        with open(path) as fh:
-            status = json.load(fh)
-        assert status["fleet"]["workers"] == 0
-
-    def test_watch_campaign_single_frame(self, tmp_path, capsys):
-        out = str(tmp_path / "c")
-        assert main(["campaign", "run", SMOKE, "--out", out]) == 0
-        capsys.readouterr()
-        _plant_heartbeat(out, stale=True)
-        assert main(["watch", "--campaign", out, "--once"]) == 0
-        text = capsys.readouterr().out
-        assert "~w1" in text  # stale marker
-        assert "ETA" in text
-
-    def test_watch_campaign_missing_dir(self, tmp_path, capsys):
-        code = main(["watch", "--campaign", str(tmp_path / "nope"), "--once"])
-        assert code == 1
-        assert "watch:" in capsys.readouterr().err
-
-
-class TestRenderFleet:
-    def test_pure_renderer_handles_missing_fields(self):
-        out = render_fleet(
-            {
-                "name": "x",
-                "total": 10,
-                "completed": 4,
-                "pending": 6,
-                "workers": [
-                    {"worker": "w1", "runs_done": 4, "stale": False},
-                ],
-                "fleet": {
-                    "workers": 1,
-                    "active": 1,
-                    "runs_done": 4,
-                    "mean_run_wall_s": None,
-                    "eta_s": None,
-                },
-            }
-        )
-        assert "campaign x: 4/10 done, 6 pending" in out
-        assert "40%" in out
-        assert "ETA ?" in out
-
-    def test_eta_formatting(self):
-        base = {
-            "name": "x", "total": 1, "completed": 0, "pending": 1,
-            "workers": [], "fleet": {"workers": 0, "active": 0,
-                                     "runs_done": 0, "mean_run_wall_s": 1.0},
-        }
-        short = render_fleet({**base, "fleet": {**base["fleet"], "eta_s": 45.0}})
-        long = render_fleet({**base, "fleet": {**base["fleet"], "eta_s": 300.0}})
-        assert "ETA 45s" in short
-        assert "ETA 5.0min" in long
+    def test_chaos_profiles_the_upgrade_path(self, capsys):
+        # The phases CI's profile-smoke job requires of `profile chaos`.
+        assert main(["profile", "chaos", "--no-cprofile", "--json", "-"]) == 0
+        phases = json.loads(capsys.readouterr().out)["report"][
+            "deterministic"
+        ]["phases"]
+        assert phases["core.plan"] == {"calls": 1, "items": 24}
+        assert phases["sim.retransmit"] == {"calls": 2, "items": 11}
+        for phase in ("upgrade.sync", "upgrade.distribute", "upgrade.reboot"):
+            assert phases[phase]["calls"] == 1
