@@ -24,21 +24,17 @@ _BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 _last_run = {}
 
 
-def run_once(benchmark, fn, health=False, flight=False, **kwargs):
+def run_once(benchmark, fn, health=False, **kwargs):
     """Time one full experiment run (no warmup: these are minutes-long).
 
     ``health=True`` additionally attaches a streaming
     :class:`~repro.obs.health.HealthMonitor` to the session (pass a
-    monitor instance to read its verdict after the run);
-    ``flight`` attaches a black-box
-    :class:`~repro.obs.flight.FlightRecorder` the same way.
+    monitor instance to read its verdict after the run).
     """
     counts = {}
 
     def observed(**kw):
-        with observe(
-            trace=True, metrics=False, health=health, flight=flight
-        ) as session:
+        with observe(trace=True, metrics=False, health=health) as session:
             # Count-only mode: emit() tallies per-type counts before the
             # storage-cap check, so a zero cap keeps memory flat while
             # the counts stay exact.

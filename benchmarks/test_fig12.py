@@ -26,6 +26,11 @@ def test_fig12a_more_gateways_more_gains(benchmark):
     assert final_full > result["random_cp"][-1]
     # Capacity grows with gateways for the full version.
     assert result["alphawan_full"][-1] > result["alphawan_full"][1]
+    # Without Strategy 1 the arm sits between the two (DESIGN §7 holds
+    # the gap to the paper's ~117).
+    standard, no_s1 = result["standard"], result["alphawan_no_s1"]
+    assert standard[-1] < no_s1[-1] < final_full
+    assert no_s1[-1] == 61
 
 
 def test_fig12b_spectrum_efficiency(benchmark):

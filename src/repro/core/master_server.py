@@ -31,10 +31,7 @@ import logging
 import socket
 import threading
 import time
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.httpexport import HealthHTTPExporter
+from typing import Callable, Dict, Optional, Tuple
 
 from ..faults.plan import FaultPlan
 from ..obs import runtime as _obs
@@ -129,7 +126,6 @@ class MasterServer:
             target=self._serve, name="alphawan-master", daemon=True
         )
         self._started = False
-        self._exporter: Optional["HealthHTTPExporter"] = None
 
     # -- counters ----------------------------------------------------------
 
@@ -195,9 +191,6 @@ class MasterServer:
                 conn.close()
             except OSError:
                 pass
-        if self._exporter is not None:
-            self._exporter.close()
-            self._exporter = None
 
     def kill(self) -> None:
         """Die like ``kill -9``: sever everything, flush nothing.
@@ -208,35 +201,6 @@ class MasterServer:
         the failover drill.
         """
         self.close()
-
-    def attach_exporter(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> "HealthHTTPExporter":
-        """Attach a health/metrics HTTP endpoint to this Master.
-
-        ``/healthz`` merges the Master's occupancy snapshot (plus its
-        dropped-request count) under ``sources.master``; the exporter is
-        closed with the server.  A Master in read-only mode (journal
-        failure) reports ``degraded`` and flips the endpoint to 503.
-        """
-        from ..obs.httpexport import HealthHTTPExporter
-
-        if self._exporter is None:
-            self._exporter = HealthHTTPExporter(
-                health_sources={"master": self._health_source},
-                host=host,
-                port=port,
-            ).start()
-        return self._exporter
-
-    def _health_source(self) -> Dict[str, object]:
-        snapshot: Dict[str, object] = dict(self.master.status())
-        snapshot["dropped_requests"] = self.dropped_requests
-        snapshot["reaped_connections"] = self.reaped_connections
-        snapshot["degraded"] = self._master_down() or bool(
-            snapshot.get("read_only")
-        )
-        return snapshot
 
     def __enter__(self) -> "MasterServer":
         return self.start()

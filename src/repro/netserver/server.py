@@ -30,7 +30,6 @@ from .records import UplinkRecord, format_log_line
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.master import Assignment
     from ..core.master_client import MasterClient
-    from ..obs.httpexport import HealthHTTPExporter
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +65,6 @@ class NetworkServer:
         self.last_assignment = None
         self.degraded = False
         self.degraded_syncs = 0
-        self._exporter = None
 
     def register_gateway(self, gateway: Gateway) -> None:
         """Attach a gateway to this server."""
@@ -239,49 +237,6 @@ class NetworkServer:
         if cache is not None:
             cache.store(assignment)
         return assignment
-
-    # ------------------------------------------------------------------
-    # Health exposure
-    # ------------------------------------------------------------------
-
-    def health_snapshot(self) -> Dict[str, object]:
-        """Operational state for ``/healthz`` (degraded = cached plan)."""
-        return {
-            "network_id": self.network_id,
-            "degraded": self.degraded,
-            "degraded_syncs": self.degraded_syncs,
-            "gateways": len(self.gateways),
-            "devices": len(self.devices),
-            "uplinks": len(self.records),
-            "duplicates": self.duplicates,
-            "has_assignment": self.last_assignment is not None,
-        }
-
-    def attach_exporter(
-        self, host: str = "127.0.0.1", port: int = 0
-    ) -> "HealthHTTPExporter":
-        """Attach a health/metrics HTTP endpoint to this network server.
-
-        ``/healthz`` merges :meth:`health_snapshot` under
-        ``sources.netserver``, so the endpoint flips to 503 while the
-        server runs degraded on a cached Master assignment.  Close the
-        returned exporter when done (it owns a daemon thread).
-        """
-        from ..obs.httpexport import HealthHTTPExporter
-
-        if self._exporter is None:
-            self._exporter = HealthHTTPExporter(
-                health_sources={"netserver": self.health_snapshot},
-                host=host,
-                port=port,
-            ).start()
-        return self._exporter
-
-    def close_exporter(self) -> None:
-        """Detach and stop the HTTP exporter, if one is attached."""
-        if self._exporter is not None:
-            self._exporter.close()
-            self._exporter = None
 
     def clear(self) -> None:
         """Drop logs and dedup state (new measurement epoch)."""

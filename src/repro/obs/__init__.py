@@ -11,9 +11,9 @@ behavioural impact:
   Master retries, GA telemetry) exported as schema-versioned JSONL.
 * :class:`MetricsRegistry` — counters / gauges / histograms with
   Prometheus-text and JSON export.
-* :class:`HealthMonitor` and :class:`FlightRecorder` — listeners on the
-  recorder's event stream, their only input: a live report equals the
-  replay of the run's own trace.
+* :class:`HealthMonitor` — a listener on the recorder's event stream,
+  its only input: a live report equals the replay of the run's own
+  trace.
 * :func:`observe` — scoped activation; every hook in the simulation
   stack is a no-op unless a session is active.
 
@@ -39,7 +39,6 @@ from typing import Any, Dict, Iterator, Optional, Union
 from . import runtime
 from .causal import TraceContext, derive_id
 from .events import EventType, TraceEvent
-from .flight import FlightRecorder
 from .health import Alert, AlertRule, HealthMonitor, health_score, health_status
 from .logconf import setup_logging
 from .manifest import build_manifest, config_digest, git_revision, scrub_wall_fields
@@ -74,7 +73,6 @@ __all__ = [
     "TraceRecorder",
     "TraceContext",
     "derive_id",
-    "FlightRecorder",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -122,12 +120,10 @@ class ObservabilitySession:
         recorder: Optional[TraceRecorder],
         metrics: Optional[MetricsRegistry],
         health: Optional[HealthMonitor] = None,
-        flight: Optional[FlightRecorder] = None,
     ) -> None:
         self.recorder = recorder
         self.metrics = metrics
         self.health = health
-        self.flight = flight
 
     def event_counts(self) -> Dict[str, int]:
         """Events recorded so far, by type (empty when tracing is off)."""
@@ -141,7 +137,6 @@ def observe(
     trace: bool = True,
     metrics: bool = True,
     health: Union[bool, HealthMonitor] = False,
-    flight: Union[bool, FlightRecorder] = False,
     manifest: Optional[Dict[str, Any]] = None,
 ) -> Iterator[ObservabilitySession]:
     """Activate observability for the dynamic extent of the block.
@@ -155,10 +150,7 @@ def observe(
     input, so it reports what :meth:`HealthMonitor.replay` of the same
     trace reports.  Enabling health with ``trace=False`` still creates
     a count-only recorder (``max_events=0`` — events feed the listeners
-    but are not stored).  ``flight`` likewise enables the bounded
-    :class:`FlightRecorder` black box (pass ``True`` for defaults, or a
-    configured recorder); it too rides the listener bus, so it works
-    with full tracing off.  Neither has a runtime slot: read them from
+    but are not stored).  The monitor has no runtime slot: read it from
     the session.
     """
     if runtime.session_active():
@@ -168,25 +160,17 @@ def observe(
         monitor = health
     elif health:
         monitor = HealthMonitor()
-    black_box: Optional[FlightRecorder] = None
-    if isinstance(flight, FlightRecorder):
-        black_box = flight
-    elif flight:
-        black_box = FlightRecorder()
     recorder: Optional[TraceRecorder] = None
     if trace:
         recorder = TraceRecorder(manifest=manifest)
-    elif monitor is not None or black_box is not None:
+    elif monitor is not None:
         recorder = TraceRecorder(manifest=manifest, max_events=0)
     if recorder is not None and monitor is not None:
         recorder.add_listener(monitor.observe_event)
-    if recorder is not None and black_box is not None:
-        recorder.add_listener(black_box.observe_event)
     session = ObservabilitySession(
         recorder=recorder,
         metrics=MetricsRegistry() if metrics else None,
         health=monitor,
-        flight=black_box,
     )
     runtime.activate(session.recorder, session.metrics)
     try:

@@ -55,7 +55,7 @@ from typing import (
 )
 
 from .events import EventType
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram
 
 __all__ = [
     "Ewma",
@@ -256,7 +256,7 @@ class Alert:
         return self.fired_s is not None and self.resolved_s is None
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-able form (the ``/alerts`` payload)."""
+        """JSON-able form (one entry of :meth:`HealthMonitor.alerts`)."""
         return {
             "rule": self.rule,
             "severity": self.severity,
@@ -814,7 +814,7 @@ class HealthMonitor:
             return out
 
     def alerts(self, include_resolved: bool = True) -> List[Dict[str, Any]]:
-        """Fired alerts in firing order (the ``/alerts`` payload)."""
+        """Fired alerts in firing order."""
         with self._lock:
             return [
                 a.to_dict()
@@ -827,7 +827,7 @@ class HealthMonitor:
         return self.alerts(include_resolved=False)
 
     def healthz(self) -> Dict[str, Any]:
-        """The ``/healthz`` payload: overall status plus per-gateway detail.
+        """Overall status plus per-gateway detail (what ``watch`` renders).
 
         ``status`` is ``ok`` with no active alerts and every gateway
         healthy; ``critical`` when a critical alert is firing;
@@ -863,33 +863,3 @@ class HealthMonitor:
                 "global_totals": dict(sorted(self._global_totals.items())),
                 "rules": [r.to_dict() for r in self.rules],
             }
-
-    def to_prometheus(self) -> str:
-        """Health gauges in Prometheus text format (for ``/metrics``)."""
-        registry = MetricsRegistry()
-        healthz = self.healthz()
-        for name, snap in healthz["gateways"].items():
-            labels = {"gateway": snap["gateway"]}
-            registry.gauge(
-                "repro_health_score", "per-gateway health score (0-1)", **labels
-            ).set(snap["score"])
-            for metric in (
-                "decoder_occupancy",
-                "contention_rate",
-                "drop_ratio",
-                "backhaul_rtt_s",
-                "offline",
-            ):
-                registry.gauge(
-                    f"repro_health_{metric}",
-                    "per-gateway streaming health sample",
-                    **labels,
-                ).set(snap["sample"][metric])
-        registry.gauge(
-            "repro_health_alerts_active", "alerts currently firing"
-        ).set(healthz["active_alerts"])
-        status_code = {"ok": 0.0, "degraded": 1.0, "critical": 2.0}
-        registry.gauge(
-            "repro_health_status", "overall status (0 ok, 1 degraded, 2 critical)"
-        ).set(status_code.get(healthz["status"], 1.0))
-        return registry.to_prometheus()

@@ -182,7 +182,6 @@ class PerfProbe:
         self.run_txs = 0
         self.sim_time_s = 0.0
         self.memory_peak_kb: Optional[float] = None
-        self._t_attach: Optional[float] = None
         self._attached_wall_s = 0.0
 
     # -- collection hooks --------------------------------------------------
@@ -220,14 +219,12 @@ class PerfProbe:
             raise RuntimeError("a performance probe is already attached")
         runtime.PERF = self
         t0 = perf_counter()
-        self._t_attach = t0
         if self.track_memory and not tracemalloc.is_tracing():
             tracemalloc.start()
         try:
             yield self
         finally:
             self._attached_wall_s += perf_counter() - t0
-            self._t_attach = None
             if self.track_memory and tracemalloc.is_tracing():
                 _, peak = tracemalloc.get_traced_memory()
                 tracemalloc.stop()
@@ -305,43 +302,6 @@ class PerfProbe:
         if hotspots is not None:
             report["wall"]["hotspots"] = hotspots
         return report
-
-    def to_prometheus(self) -> str:
-        """Throughput gauges for the HTTP exporter's ``/metrics``."""
-        wall_s = self._live_wall_s()
-        events = self.events
-        lines = [
-            "# HELP repro_perf_events_total engine events counted by the "
-            "performance probe",
-            "# TYPE repro_perf_events_total counter",
-            f"repro_perf_events_total {float(events)}",
-            "# HELP repro_perf_events_per_second engine events per wall "
-            "second while the probe is attached",
-            "# TYPE repro_perf_events_per_second gauge",
-            "repro_perf_events_per_second "
-            f"{events / wall_s if wall_s > 0 else 0.0}",
-            "# HELP repro_perf_sim_seconds_total simulated seconds "
-            "processed under the probe",
-            "# TYPE repro_perf_sim_seconds_total counter",
-            f"repro_perf_sim_seconds_total {self.sim_time_s}",
-            "# HELP repro_perf_runs_total simulated windows entered",
-            "# TYPE repro_perf_runs_total counter",
-            f"repro_perf_runs_total {float(self.runs)}",
-            "# HELP repro_perf_phase_items_total work units per hot-path "
-            "phase",
-            "# TYPE repro_perf_phase_items_total counter",
-        ]
-        for name in sorted(self._stats):
-            lines.append(
-                f'repro_perf_phase_items_total{{phase="{name}"}} '
-                f"{float(self._stats[name].items)}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def _live_wall_s(self) -> float:
-        if runtime.PERF is self and self._t_attach is not None:
-            return self._attached_wall_s + (perf_counter() - self._t_attach)
-        return self._attached_wall_s
 
 
 class phase_timed:

@@ -14,20 +14,21 @@ equality (ordering operators on non-numeric fields never match).  A
 clause on a missing field fails, except ``!=`` which holds vacuously.
 
 ``repro.tools trace explain NET:NODE:CTR[:ATT]`` reconstructs one
-packet's causal chain: its lifecycle events in trace order, the
-packet-level outcome (mirroring the loss-attribution precedence of
-:mod:`repro.sim.metrics` — decoder contention before channel contention
-before everything else), the single **outcome-deciding event**
-(highlighted ``>>>``), and the surrounding control-plane context
-(Master faults, gateway reboots) that explains *why*.
+packet's causal chain from the last run round that holds it: its
+lifecycle events in trace order, the packet-level outcome (mirroring
+the loss-attribution precedence of :mod:`repro.sim.metrics` — decoder
+contention before channel contention before everything else), the
+single **outcome-deciding event** (highlighted ``>>>``), and the
+surrounding control-plane context (Master faults, gateway reboots) that
+explains *why*.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .events import EventType
-from .timeline import _PACKET_EVENTS
+from .timeline import _PACKET_EVENTS, _run_spans
 
 __all__ = [
     "QueryError",
@@ -193,16 +194,55 @@ def _order_key(ev: Event) -> int:
     return ev.get("seq", 0)
 
 
+def _packet_round(
+    events: Sequence[Event], mine: Callable[[Event], bool]
+) -> Tuple[int, int, int]:
+    """Index bounds ``(lo, start, stop)`` of the round that explains a packet.
+
+    A retransmission driver re-simulates the whole window once per
+    round and only the last round decides, so a packet's receptions
+    and the crash that darkened its gateway repeat in every run
+    segment.  The packet's events come from ``events[start:stop]``: the
+    last ``sim.run_start`` .. ``sim.run_end`` segment holding any of
+    them, plus the out-of-run events (netserver ingestion) that follow
+    it before the next run starts.  Its control-plane context comes
+    from ``events[lo:stop]``, which adds the out-of-run events since
+    the previous run ended.  A trace whose runs hold none of the
+    packet's events is one round.
+    """
+    spans = _run_spans(events)
+    for k in range(len(spans) - 1, -1, -1):
+        start, end = spans[k]
+        if any(mine(ev) for ev in events[start:end]):
+            stop = next(
+                (
+                    i
+                    for i in range(end, len(events))
+                    if events[i].get("type") == EventType.SIM_RUN_START
+                ),
+                len(events),
+            )
+            return (spans[k - 1][1] if k else 0), start, stop
+    return 0, 0, len(events)
+
+
 def explain_packet(events: Sequence[Event], packet_id: str) -> Dict[str, Any]:
     """Reconstruct one packet's causal chain from a trace.
 
     Returns a dict with the packet key, its lifecycle events, the
     packet-level ``outcome``, the index of the deciding event, and the
-    surrounding control-plane context.  Raises :class:`ExplainError`
-    when the packet is absent.
+    surrounding control-plane context, all read from the last run
+    round that holds the packet.  Raises :class:`ExplainError` when the
+    packet is absent.
     """
     net, node, ctr, att = parse_packet_id(packet_id)
-    chain = [ev for ev in events if _is_packet_event(ev, net, node, ctr, att)]
+
+    def mine(ev: Event) -> bool:
+        return _is_packet_event(ev, net, node, ctr, att)
+
+    lo, start, stop = _packet_round(events, mine)
+    round_events = events[start:stop]
+    chain = [ev for ev in round_events if mine(ev)]
     if not chain:
         raise ExplainError(f"no events for packet {packet_id}")
     chain.sort(key=_order_key)
@@ -220,9 +260,9 @@ def explain_packet(events: Sequence[Event], packet_id: str) -> Dict[str, Any]:
         if ev.get("type") == EventType.NETSERVER_UPLINK
         and int(ev.get("att", 0)) == final_att
     ]
-    outcome, deciding = _decide(events, chain, receptions, uplinks)
+    outcome, deciding = _decide(round_events, chain, receptions, uplinks)
 
-    context = _control_context(events, chain, deciding)
+    context = _control_context(events[lo:stop], chain, deciding)
     deciding_index = None
     if deciding is not None:
         for i, ev in enumerate(chain):

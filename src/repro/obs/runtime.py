@@ -7,9 +7,8 @@ against three module-level slots that default to ``None``:
 * :data:`METRICS` — the active :class:`~repro.obs.metrics.MetricsRegistry`
 * :data:`PERF` — the active :class:`~repro.obs.perf.PerfProbe`
 
-The health monitor and the flight recorder have no slot: they are
-listeners on the ``TRACE`` recorder, so the event stream is their only
-input.  A hook is a single attribute load plus a ``None`` check when
+The health monitor has no slot: it is a listener on the ``TRACE``
+recorder, so the event stream is its only input.  A hook is a single attribute load plus a ``None`` check when
 observability is disabled — the overhead budget for the default
 (untraced) configuration is <5 % of the hot-path wall time, asserted by
 ``benchmarks/test_obs_overhead.py``.  Activation is scoped with
@@ -65,7 +64,6 @@ def session_active() -> bool:
     """Whether any slot :func:`activate` manages is installed.
 
     ``PERF`` does not count: a probe may wrap a session or run alone.
-    A health or flight session always has a recorder, so ``TRACE``
-    covers it.
+    A health session always has a recorder, so ``TRACE`` covers it.
     """
     return TRACE is not None or METRICS is not None

@@ -47,6 +47,20 @@ _PACKET_EVENTS = {
 }
 
 
+def _run_spans(events: Sequence[Event]) -> List[Tuple[int, int]]:
+    """``(start, stop)`` slice bounds of each complete run in ``events``."""
+    spans: List[Tuple[int, int]] = []
+    start: Optional[int] = None
+    for i, ev in enumerate(events):
+        etype = ev.get("type")
+        if etype == EventType.SIM_RUN_START:
+            start = i
+        elif etype == EventType.SIM_RUN_END and start is not None:
+            spans.append((start, i + 1))
+            start = None
+    return spans
+
+
 def run_segments(events: Sequence[Event]) -> List[List[Event]]:
     """Split a trace into simulation-run segments.
 
@@ -54,19 +68,7 @@ def run_segments(events: Sequence[Event]) -> List[List[Event]]:
     events outside any run (control plane, netserver ingestion) are not
     part of a segment.
     """
-    segments: List[List[Event]] = []
-    current: Optional[List[Event]] = None
-    for ev in events:
-        etype = ev.get("type")
-        if etype == EventType.SIM_RUN_START:
-            current = [ev]
-            continue
-        if current is not None:
-            current.append(ev)
-            if etype == EventType.SIM_RUN_END:
-                segments.append(current)
-                current = None
-    return segments
+    return [list(events[start:stop]) for start, stop in _run_spans(events)]
 
 
 def final_run_events(events: Sequence[Event]) -> List[Event]:

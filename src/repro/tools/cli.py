@@ -35,7 +35,7 @@ drift.  ``profile`` runs one experiment driver (fast settings, as
 ``render`` does) under the performance observatory
 (:mod:`repro.obs.perf`) and renders throughput, the phase table and
 cProfile hotspots — ``--json`` for the raw report.  ``watch`` renders
-a live health dashboard from an exporter URL or a growing trace file.
+the health dashboard of a trace file, re-read as it grows.
 ``drill`` runs the Master failover drill
 (:func:`repro.faults.drill.run_drill`): crash the Master mid-campaign,
 recover from snapshot + journal, exit non-zero if any crash-safety
@@ -619,17 +619,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     watch_p = sub.add_parser(
-        "watch", help="live ASCII health dashboard (endpoint or trace tail)"
+        "watch", help="live ASCII health dashboard (trace tail)"
     )
-    watch_src = watch_p.add_mutually_exclusive_group(required=True)
-    watch_src.add_argument(
-        "--url", default=None, help="base URL of a health HTTP exporter"
-    )
-    watch_src.add_argument(
+    watch_p.add_argument(
         "--trace",
         dest="trace_path",
-        default=None,
-        help="tail a (growing) trace JSONL file instead of an endpoint",
+        required=True,
+        help="tail a (growing) trace JSONL file",
     )
     watch_p.add_argument(
         "--interval",
@@ -793,7 +789,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "watch":
         return run_watch(
-            url=args.url,
             trace_path=args.trace_path,
             interval_s=args.interval_s,
             frames=1 if args.once else args.frames,

@@ -1,13 +1,11 @@
 """Live ASCII health dashboard (``repro.tools watch``).
 
 Renders refreshing per-gateway health — score bars, streaming samples,
-and active alerts — from either source the observatory exposes:
-
-* a live :class:`~repro.obs.httpexport.HealthHTTPExporter` endpoint
-  (``--url http://127.0.0.1:8000``), or
-* a growing trace JSONL file (``--trace chaos.jsonl``) that a traced run
-  is appending to; events are tailed incrementally into a local
-  :class:`~repro.obs.health.HealthMonitor`.
+and active alerts — from a trace JSONL file (``--trace chaos.jsonl``),
+growing or complete: its events are tailed incrementally into a local
+:class:`~repro.obs.health.HealthMonitor`, the same listener a
+``--health`` run attaches, so a frame of the whole trace shows what
+that run's report holds.
 
 The renderer is pure (dict in, string out) so tests drive it
 without a terminal, and the tail-follower is incremental so watching a
@@ -19,8 +17,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Mapping, Optional, Sequence, TextIO
 
 from ..obs.health import HealthMonitor
@@ -28,7 +24,6 @@ from .ascii_chart import bar_chart
 
 __all__ = [
     "TraceFollower",
-    "fetch_healthz",
     "render_dashboard",
     "watch",
 ]
@@ -83,34 +78,12 @@ class TraceFollower:
         return self.monitor.alerts()
 
 
-def _read_json(url: str, timeout_s: float) -> Dict[str, Any]:
-    try:
-        with urllib.request.urlopen(url, timeout=timeout_s) as resp:
-            return json.loads(resp.read().decode())
-    except urllib.error.HTTPError as exc:
-        # /healthz answers 503 with a full JSON body once degraded.
-        body = exc.read().decode()
-        return json.loads(body)
-
-
-def fetch_healthz(base_url: str, timeout_s: float = 2.0) -> Dict[str, Any]:
-    """``/healthz`` payload from a live exporter (503 bodies included)."""
-    return _read_json(base_url.rstrip("/") + "/healthz", timeout_s)
-
-
-def fetch_alerts(base_url: str, timeout_s: float = 2.0) -> List[Dict[str, Any]]:
-    """``/alerts`` payload from a live exporter."""
-    payload = _read_json(base_url.rstrip("/") + "/alerts", timeout_s)
-    alerts = payload.get("alerts", [])
-    return alerts if isinstance(alerts, list) else []
-
-
 def render_dashboard(
     healthz: Mapping[str, Any],
     alerts: Sequence[Mapping[str, Any]] = (),
     source: str = "",
 ) -> str:
-    """Render one dashboard frame from a ``/healthz`` payload."""
+    """Render one dashboard frame from a ``HealthMonitor.healthz()`` dict."""
     lines: List[str] = []
     status = str(healthz.get("status", "?"))
     sim_t = healthz.get("sim_time_s", 0.0)
@@ -168,7 +141,6 @@ def render_dashboard(
 
 
 def watch(
-    url: Optional[str] = None,
     trace_path: Optional[str] = None,
     interval_s: float = 1.0,
     frames: Optional[int] = None,
@@ -176,31 +148,22 @@ def watch(
 ) -> int:
     """Render the dashboard repeatedly; returns a process exit code.
 
-    Exactly one of ``url`` / ``trace_path`` must be given.  ``frames`` bounds the number of refreshes (None = until
-    interrupted); tests pass ``frames=1`` for a single snapshot.
+    ``trace_path`` is required (exit code 2 without it).  ``frames``
+    bounds the number of refreshes (None = until interrupted); tests
+    pass ``frames=1`` for a single snapshot.
     """
-    if (url is None) == (trace_path is None):
-        print("watch: pass exactly one of --url / --trace", file=sys.stderr)
+    if trace_path is None:
+        print("watch: pass --trace", file=sys.stderr)
         return 2
     stream = out if out is not None else sys.stdout
-    follower = TraceFollower(trace_path) if trace_path is not None else None
+    follower = TraceFollower(trace_path)
     rendered = 0
     try:
         while frames is None or rendered < frames:
-            if follower is not None:
-                follower.poll()
-                healthz = follower.healthz()
-                alerts = follower.alerts()
-                frame = render_dashboard(healthz, alerts, source=follower.path)
-            else:
-                assert url is not None
-                try:
-                    healthz = fetch_healthz(url)
-                    alerts = fetch_alerts(url)
-                except (OSError, ValueError) as exc:
-                    print(f"watch: {url}: {exc}", file=sys.stderr)
-                    return 1
-                frame = render_dashboard(healthz, alerts, source=url)
+            follower.poll()
+            frame = render_dashboard(
+                follower.healthz(), follower.alerts(), source=follower.path
+            )
             if rendered:
                 print("", file=stream)
             print(frame, file=stream)

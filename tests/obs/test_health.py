@@ -360,13 +360,6 @@ class TestHealthMonitor:
         assert set(report) >= {"healthz", "alerts", "rules", "global_sample"}
         assert all(r["name"] for r in report["rules"])
 
-    def test_to_prometheus_renders_health_gauges(self):
-        m = HealthMonitor()
-        _grant(m, 1.0)
-        text = m.to_prometheus()
-        assert 'repro_health_score{gateway="0"}' in text
-        assert "repro_health_status" in text
-
     def test_replay_matches_live(self):
         events = [
             {"seq": 1, "type": EventType.GW_LOCK_ON, "t": 1.0, "gw": 0},

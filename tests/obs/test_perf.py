@@ -198,15 +198,6 @@ class TestReport:
     def test_json_serializable(self):
         json.dumps(self._report())
 
-    def test_prometheus_exposition(self):
-        probe = PerfProbe()
-        with probe.attach():
-            run_fig2a()
-        text = probe.to_prometheus()
-        assert "repro_perf_events_total" in text
-        assert "repro_perf_events_per_second" in text
-        assert 'repro_perf_phase_items_total{phase="gw.detect"}' in text
-
 
 class TestHotspotsAndRunProfiled:
     def test_profile_hotspots_rows(self):

@@ -182,3 +182,49 @@ class TestExplain:
     def test_unknown_packet_raises(self):
         with pytest.raises(ExplainError, match="no events"):
             explain_packet(_packet_trace(["received"]), "2:2:2")
+
+
+def _run(seq, events):
+    """One simulated run: ``sim.run_start``, ``events``, ``sim.run_end``."""
+    out = [_ev(seq, "sim.run_start")]
+    for ev in events:
+        seq += 1
+        out.append(dict(ev, seq=seq, lam=seq))
+    out.append(_ev(seq + 1, "sim.run_end"))
+    return out
+
+
+def _reception(gw, outcome, node=9):
+    return {"type": "gw.reception", "t": 10.0, "net": 1, "node": node,
+            "ctr": 1, "att": 0, "gw": gw, "outcome": outcome}
+
+
+def _reboot():
+    return {"type": "gw.reboot", "t": 8.0, "gw": 0, "reason": "crash"}
+
+
+class TestExplainOneRound:
+    def test_retransmission_rounds_explain_from_the_last(self):
+        # Each round re-simulates the whole window: the packet's
+        # receptions and the crash repeat, and the last round decides.
+        first = _run(1, [_reboot(), _reception(0, "received"),
+                         _reception(1, "channel_mismatch")])
+        last = _run(10, [_reboot(), _reception(0, "gateway_offline"),
+                         _reception(1, "channel_mismatch")])
+        report = explain_packet(first + last, "1:9:1:0")
+        assert [e["seq"] for e in report["events"]] == [12, 13]
+        assert report["outcome"] == "gateway_offline"
+        assert report["deciding"]["seq"] == 11
+        assert [e["seq"] for e in report["context"]] == [11]
+
+    def test_a_packet_only_in_the_first_run_is_explained_from_it(self):
+        uplink = {"seq": 5, "type": "netserver.uplink", "t": 10.0, "net": 1,
+                  "node": 9, "ctr": 1, "att": 0, "lam": 5}
+        first = _run(1, [_reception(0, "received"),
+                         _reception(1, "no_decoder")])
+        second = _run(6, [_reboot(), _reception(0, "gateway_offline", node=4)])
+        report = explain_packet(first + [uplink] + second, "1:9:1:0")
+        assert report["outcome"] == "delivered"
+        assert report["deciding"] is uplink
+        assert [e["seq"] for e in report["events"]] == [2, 3, 5]
+        assert report["context"] == []

@@ -106,7 +106,7 @@ def _garbage_after(run):
 def test_a_run_leaves_no_cyclic_garbage(coexisting, run, observed):
     sim, txs, plan = coexisting
     if observed:
-        with observe(trace=True, metrics=True, health=True, flight=True) as session:
+        with observe(trace=True, metrics=True, health=True) as session:
             garbage, result = _garbage_after(lambda: run(sim, txs, plan))
         assert len(session.recorder) > 0
     else:

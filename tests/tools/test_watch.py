@@ -91,10 +91,4 @@ class TestWatchLoop:
 
     def test_requires_exactly_one_source(self, capsys):
         assert watch() == 2
-        assert watch(url="http://x", trace_path="y") == 2
-
-    def test_unreachable_url_fails(self):
-        out = io.StringIO()
-        # Port 9 (discard) is closed on loopback: connection refused.
-        code = watch(url="http://127.0.0.1:9", frames=1, out=out)
-        assert code == 1
+        assert "--trace" in capsys.readouterr().err
