@@ -50,9 +50,6 @@ __all__ = [
     "decode_record",
     "write_snapshot",
     "read_snapshot",
-    "TRACE_CTX_KIND",
-    "trace_context_record",
-    "find_trace_context",
 ]
 
 JOURNAL_SCHEMA_VERSION = 1
@@ -349,30 +346,3 @@ def read_snapshot(path: str) -> Optional[Dict[str, Any]]:
         )
         return None
     return parsed
-
-
-# -- causal trace context (observability rider records) -------------------
-
-# Journal record kind carrying the run's trace context.  Recovery
-# (``MasterNode.recover``) ignores kinds other than header/op/recovery,
-# so these rider records are invisible to the state machine — they only
-# let a restarted incarnation resume the *same* trace (see
-# ``repro.obs.causal`` and the failover drill).
-TRACE_CTX_KIND = "trace_ctx"
-
-
-def trace_context_record(ctx_wire: Dict[str, Any]) -> Dict[str, Any]:
-    """A journal record persisting the incarnation's trace context."""
-    return {"kind": TRACE_CTX_KIND, "ctx": dict(ctx_wire)}
-
-
-def find_trace_context(
-    records: List[Dict[str, Any]],
-) -> Optional[Dict[str, Any]]:
-    """The most recent trace context in replayed ``records``, if any."""
-    for record in reversed(records):
-        if record.get("kind") == TRACE_CTX_KIND and isinstance(
-            record.get("ctx"), dict
-        ):
-            return record["ctx"]
-    return None

@@ -538,6 +538,8 @@ class MasterNode:
                 node._epoch = max(node._epoch, int(record.get("epoch", 0)))
                 continue
             if kind != "op":
+                # Header, and the ``trace_ctx`` records older drills
+                # journaled: no state to apply.
                 continue
             if int(record.get("seq", 0)) <= node._seq:
                 continue

@@ -133,13 +133,6 @@ class MasterClient:
         assert self._sock is not None
         rec = _obs.TRACE
         if rec is not None:
-            # Causal propagation: attach (or refresh) the trace context
-            # with a fresh Lamport sample on *every* attempt, so a retry
-            # that reaches a restarted Master still sequences after the
-            # events that preceded it.  Old servers ignore the key.
-            ctx = rec.context
-            if ctx is not None:
-                message["ctx"] = ctx.with_lam(rec.tick()).to_wire()
             rec.emit(EventType.MASTER_REQUEST, req=message.get("type"))
         t0 = time.perf_counter()
         try:
@@ -156,12 +149,6 @@ class MasterClient:
         if response is None:
             self.close()
             raise ProtocolError("master closed the connection")
-        if rec is not None:
-            # Lamport receive rule: fold the server's clock sample in so
-            # subsequent local events order after the server-side ones.
-            resp_ctx = response.get("ctx")
-            if isinstance(resp_ctx, dict):
-                rec.merge_clock(resp_ctx.get("lam"))
         metrics = _obs.METRICS
         if metrics is not None:
             metrics.histogram(

@@ -35,7 +35,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..faults.plan import FaultPlan
 from ..obs import runtime as _obs
-from ..obs.causal import TraceContext
 from ..obs.events import EventType
 from .master import (
     LeaseError,
@@ -53,18 +52,6 @@ from .protocol import (
 )
 
 __all__ = ["MasterServer"]
-
-
-def _ctx_fields(ctx: Optional[TraceContext]) -> Dict[str, str]:
-    """Trace/parent-span stamps for Master-side fault events.
-
-    Fault events (drops, crashes) never produce a reply, so the causal
-    link to the requesting client must ride on the event itself — the
-    merge and ``trace explain`` join on these fields.
-    """
-    if ctx is None:
-        return {}
-    return {"trace": ctx.trace_id, "pspan": ctx.span_id}
 
 
 class MasterServer:
@@ -245,13 +232,6 @@ class MasterServer:
                     return
                 if message is None:
                     return
-                # Causal propagation: merge the caller's Lamport sample
-                # before any event this request triggers is emitted, so
-                # Master-side events order after the client-side send.
-                ctx = TraceContext.from_wire(message.get("ctx"))
-                rec = _obs.TRACE
-                if rec is not None and ctx is not None:
-                    rec.merge_clock(ctx.lam)
                 with self._counters_lock:
                     self._requests_seen += 1
                     request_no = self._requests_seen
@@ -262,11 +242,10 @@ class MasterServer:
                     # it sequences ahead of the client's retry events.
                     with self._counters_lock:
                         self._dropped_requests += 1
+                    rec = _obs.TRACE
                     if rec is not None:
                         rec.emit(
-                            EventType.MASTER_DROPPED,
-                            req=message.get("type"),
-                            **_ctx_fields(ctx),
+                            EventType.MASTER_DROPPED, req=message.get("type")
                         )
                     metrics = _obs.METRICS
                     if metrics is not None:
@@ -288,11 +267,9 @@ class MasterServer:
                     # journaled, but the process dies before the reply
                     # leaves — the exact duplicate-assignment window
                     # the request-id journal closes.
-                    self._emit_crash(request_no, message.get("type"), ctx)
+                    self._emit_crash(request_no, message.get("type"))
                     self.kill()
                     return
-                if ctx is not None:
-                    response["ctx"] = self._reply_ctx(ctx).to_wire()
                 try:
                     send_message(conn, response)
                 except OSError:
@@ -318,40 +295,11 @@ class MasterServer:
             self.recv_timeout_s or 0.0,
         )
 
-    def _reply_ctx(self, ctx: TraceContext) -> TraceContext:
-        """The context echoed on a reply: server span, caller as parent.
-
-        Carries a fresh Lamport sample so the client's receive merge
-        orders its subsequent events after everything the Master did.
-        Without an active recorder the caller's context bounces back
-        unchanged (the clock cannot advance, but ids stay coherent).
-        """
-        rec = _obs.TRACE
-        if rec is None:
-            return ctx
-        own = rec.context
-        if own is not None:
-            ctx = TraceContext(
-                run_id=ctx.run_id,
-                trace_id=ctx.trace_id,
-                span_id=own.span_id,
-                parent_span_id=ctx.span_id,
-            )
-        return ctx.with_lam(rec.tick())
-
-    def _emit_crash(
-        self,
-        request_no: int,
-        req_type: object,
-        ctx: Optional[TraceContext] = None,
-    ) -> None:
+    def _emit_crash(self, request_no: int, req_type: object) -> None:
         rec = _obs.TRACE
         if rec is not None:
             rec.emit(
-                EventType.MASTER_CRASH,
-                at_request=request_no,
-                req=req_type,
-                **_ctx_fields(ctx),
+                EventType.MASTER_CRASH, at_request=request_no, req=req_type
             )
         metrics = _obs.METRICS
         if metrics is not None:

@@ -26,17 +26,8 @@ Error ``code`` is machine-readable: ``region_full``, ``degraded``
 (Master read-only), ``lease_stale``, ``unknown_operator``,
 ``bad_request``, or ``unknown_type``.
 
-Every request and reply may additionally carry an **optional** ``ctx``
-key — the causal trace context of :mod:`repro.obs.causal`::
-
-    "ctx": {"run": str, "trace": str, "span": str,
-            "parent": str?, "lam": int}
-
-Requests carry the caller's context with a fresh Lamport sample; replies
-echo it with the Master's span and clock.  The field is strictly
-additive: dispatch reads only known keys, so old peers interoperate
-with new ones by ignoring ``ctx`` entirely (the run is simply untraced
-across that hop).
+Dispatch reads only known keys, so the ``ctx`` trace-context key an
+older client may send is ignored.
 """
 
 from __future__ import annotations

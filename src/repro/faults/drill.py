@@ -38,12 +38,10 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.journal import StateJournal, find_trace_context, trace_context_record
+from ..core.journal import StateJournal
 from ..core.master import MasterNode
 from ..core.master_client import MasterClient, MasterRequestError
 from ..core.master_server import MasterServer
-from ..obs import runtime as _obs
-from ..obs.causal import TraceContext
 from ..phy.channels import ChannelGrid
 from .plan import FaultPlan, MasterCrash
 from .retry import RetryPolicy
@@ -93,8 +91,6 @@ class DrillReport:
     read_only_after: bool = False
     client_retries: int = 0
     client_reconnects: int = 0
-    trace_id: Optional[str] = None
-    trace_resumed: bool = False
     failures: List[str] = field(default_factory=list)
 
     @property
@@ -177,18 +173,6 @@ def run_drill(
     address = server1.address
     report.epoch_before = master1.epoch
 
-    # Causal tracing across the kill/restart boundary: mint the drill's
-    # root context and persist it to the journal (after MasterNode
-    # construction, so the header record stays first).  The recovered
-    # incarnation reads it back and resumes the *same* trace_id under a
-    # new epoch span — one causal trace spanning both incarnations.
-    drill_ctx = TraceContext.root(f"drill:{seed}", seed=seed)
-    report.trace_id = drill_ctx.trace_id
-    journal.append(trace_context_record(drill_ctx.to_wire()))
-    rec = _obs.TRACE
-    if rec is not None:
-        rec.set_context(drill_ctx.child(f"epoch-{master1.epoch}"))
-
     # Recovery state, filled in by the client's backoff hook: the crash
     # severs the retrying client's connection, and the *backoff sleep*
     # before its retry is where the drill performs the restart — the
@@ -210,15 +194,6 @@ def run_drill(
         # Captured *before* the retry lands: the recovered incarnation
         # must already hold the dead one's exact state.
         incarnation.status_after_recovery = master2.status()
-        # Resume the causal trace from the journal: same trace_id, a
-        # fresh span for the new incarnation epoch.
-        resumed_wire = find_trace_context(StateJournal.replay(journal_path))
-        resumed = TraceContext.from_wire(resumed_wire)
-        if resumed is not None:
-            report.trace_resumed = resumed.trace_id == drill_ctx.trace_id
-            rec2 = _obs.TRACE
-            if rec2 is not None:
-                rec2.set_context(resumed.child(f"epoch-{master2.epoch}"))
         logger.info(
             "drill: master recovered on %s in %.4f s (epoch %d)",
             address,

@@ -13,7 +13,7 @@ behavioural impact:
   Prometheus-text and JSON export.
 * :class:`HealthMonitor` — a listener on the recorder's event stream,
   its only input: a live report equals the replay of the run's own
-  trace.
+  trace (``repro.tools trace health`` renders that replay).
 * :func:`observe` — scoped activation; every hook in the simulation
   stack is a no-op unless a session is active.
 
@@ -37,7 +37,6 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Union
 
 from . import runtime
-from .causal import TraceContext, derive_id
 from .events import EventType, TraceEvent
 from .health import Alert, AlertRule, HealthMonitor, health_score, health_status
 from .logconf import setup_logging
@@ -71,8 +70,6 @@ __all__ = [
     "EventType",
     "TraceEvent",
     "TraceRecorder",
-    "TraceContext",
-    "derive_id",
     "MetricsRegistry",
     "Counter",
     "Gauge",

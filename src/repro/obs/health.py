@@ -752,14 +752,14 @@ class HealthMonitor:
 
     # -- offline replay ----------------------------------------------------
 
-    def ingest(self, events: Iterable[Mapping[str, Any]]) -> int:
-        """Feed decoded trace events (wire shape) through the monitor.
+    def replay(self, events: Iterable[Mapping[str, Any]]) -> "HealthMonitor":
+        """Feed loaded JSONL trace events through the monitor, then
+        evaluate its rules.
 
-        The manifest line and events without a string ``type`` are
-        skipped.  Returns how many events were taken; alert rules are
-        not evaluated (see :meth:`evaluate`).
+        Returns ``self`` so ``HealthMonitor().replay(load_trace(p))``
+        reads naturally.  The manifest line and events without a string
+        ``type`` are skipped.
         """
-        taken = 0
         for ev in events:
             etype = ev.get("type")
             if not isinstance(etype, str) or etype == EventType.MANIFEST:
@@ -769,17 +769,6 @@ class HealthMonitor:
                 k: v for k, v in ev.items() if k not in ("seq", "type", "t")
             }
             self.observe_event(etype, t if isinstance(t, (int, float)) else None, fields)
-            taken += 1
-        return taken
-
-    def replay(self, events: Iterable[Mapping[str, Any]]) -> "HealthMonitor":
-        """Feed loaded JSONL trace events through the monitor, then
-        evaluate its rules.
-
-        Returns ``self`` so ``HealthMonitor().replay(load_trace(p))``
-        reads naturally.  The manifest line is skipped.
-        """
-        self.ingest(events)
         self.evaluate()
         return self
 
@@ -827,7 +816,7 @@ class HealthMonitor:
         return self.alerts(include_resolved=False)
 
     def healthz(self) -> Dict[str, Any]:
-        """Overall status plus per-gateway detail (what ``watch`` renders).
+        """Overall status plus per-gateway detail (what ``trace health`` renders).
 
         ``status`` is ``ok`` with no active alerts and every gateway
         healthy; ``critical`` when a critical alert is firing;

@@ -6,7 +6,7 @@ language — whitespace-separated clauses of the form ``field OP value``
 
     type=gw.reception outcome=gateway_offline
     type=decoder.reject gw=2 t>=10 t<20
-    lam>=100 net!=2
+    seq>=100 net!=2
 
 Operators: ``=``, ``!=``, ``<``, ``<=``, ``>``, ``>=``.  Values coerce
 to numbers when both sides are numeric; otherwise comparison is string
@@ -372,12 +372,7 @@ _SKIP_FIELDS = ("seq", "type", "t")
 def _format_event(ev: Event, marker: str = "   ") -> str:
     t = ev.get("t")
     t_str = f"{t:>10.3f}" if isinstance(t, (int, float)) else " " * 10
-    parts = [
-        f"{k}={ev[k]}" for k in ev if k not in _SKIP_FIELDS and k != "lam"
-    ]
-    lam = ev.get("lam")
-    if lam is not None:
-        parts.append(f"lam={lam}")
+    parts = [f"{k}={ev[k]}" for k in ev if k not in _SKIP_FIELDS]
     return f"{marker} {t_str}  {ev.get('type', '?'):<20} {' '.join(parts)}"
 
 

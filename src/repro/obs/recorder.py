@@ -10,12 +10,9 @@ subsequent line is an event in sequence order.  With the same seed two
 runs export byte-identical traces — wall-clock fields (``*wall_s``)
 are stripped unless ``include_wall=True``.
 
-Schema v2 adds causal ordering: every event is stamped with a ``lam``
-field — the recorder's Lamport clock sampled *inside the emit lock*, so
-the stamp reflects enqueue order even when listeners on other threads
-observe deliveries out of order.  The clock max-merges with remote
-samples (:meth:`TraceRecorder.merge_clock`) so cross-process merges can
-use ``lam`` as a causality-respecting tiebreak.
+One process writes one trace: the Master serves from a thread of the
+simulating process and emits into the same recorder, so ``seq`` (taken
+under the lock) orders every event.
 """
 
 from __future__ import annotations
@@ -23,9 +20,8 @@ from __future__ import annotations
 import json
 import threading
 from collections import Counter
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
-from .causal import TraceContext
 from .events import EventType, TraceEvent
 
 __all__ = ["TraceRecorder", "load_trace"]
@@ -33,8 +29,9 @@ __all__ = ["TraceRecorder", "load_trace"]
 # A live subscriber to the event stream: (etype, t, fields).
 TraceListener = Callable[[str, Optional[float], Dict[str, Any]], None]
 
-# v2: events carry a Lamport stamp ("lam"); manifests may carry "ctx".
-TRACE_SCHEMA_VERSION = 2
+# v3 drops v2's Lamport stamp ("lam") and the manifest's "ctx".  Nothing
+# checks the version, so v1 and v2 traces still load.
+TRACE_SCHEMA_VERSION = 3
 
 
 class TraceRecorder:
@@ -58,9 +55,7 @@ class TraceRecorder:
         self.events: List[TraceEvent] = []
         self.counts: Counter = Counter()
         self.dropped_events = 0
-        self.context: Optional[TraceContext] = None
         self._seq = 0
-        self._lamport = 0
         self._run_index = 0
         self._lock = threading.Lock()
         self._listeners: List[TraceListener] = []
@@ -78,20 +73,14 @@ class TraceRecorder:
         Register listeners before emission starts.  With concurrent
         emitters (Master worker threads) the delivery order across
         threads is unspecified and may differ from storage ``seq``
-        order; the ``lam`` stamp in ``fields`` — assigned at enqueue
-        time, under the storage lock — is the authoritative order, so
-        downstream aggregates that sort by ``lam`` are schedule-proof.
+        order, which is the authoritative one.
         """
         with self._lock:
             self._listeners.append(listener)
 
     def emit(self, etype: str, t: Optional[float] = None, **fields: Any) -> None:
-        """Append one event (thread-safe), Lamport-stamped at enqueue."""
+        """Append one event (thread-safe)."""
         with self._lock:
-            # Stamp inside the lock: the counter value fixes this event's
-            # position even if a listener on another thread sees it late.
-            self._lamport += 1
-            fields["lam"] = self._lamport
             self.counts[etype] += 1
             if len(self.events) >= self.max_events:
                 self.dropped_events += 1
@@ -103,39 +92,6 @@ class TraceRecorder:
             listeners = tuple(self._listeners)
         for listener in listeners:
             listener(etype, t, fields)
-
-    # -- causal context ----------------------------------------------------
-
-    @property
-    def lamport(self) -> int:
-        """Current Lamport clock value (thread-safe read)."""
-        with self._lock:
-            return self._lamport
-
-    def tick(self) -> int:
-        """Advance the clock for an outbound hand-off and return it."""
-        with self._lock:
-            self._lamport += 1
-            return self._lamport
-
-    def merge_clock(self, remote_lam: Any) -> None:
-        """Max-merge a remote Lamport sample (Lamport receive rule)."""
-        if not isinstance(remote_lam, int) or isinstance(remote_lam, bool):
-            return
-        with self._lock:
-            if remote_lam > self._lamport:
-                self._lamport = remote_lam
-
-    def set_context(self, ctx: TraceContext) -> None:
-        """Adopt ``ctx`` as this process's causal scope.
-
-        Merges the context's Lamport sample into the local clock and
-        records the context in the manifest, so an exported trace names
-        the causal scope it was recorded under.
-        """
-        self.context = ctx
-        self.merge_clock(ctx.lam)
-        self.manifest["ctx"] = ctx.to_wire()
 
     def next_run_index(self) -> int:
         """Allocate the index for a new simulation run segment."""
@@ -194,7 +150,6 @@ class TraceRecorder:
             self.counts.clear()
             self.dropped_events = 0
             self._seq = 0
-            self._lamport = 0
             self._run_index = 0
 
 
@@ -203,11 +158,24 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
 
     Returns the raw event dictionaries in file order (manifest first
     when present); :mod:`repro.obs.timeline` consumes this shape.
+
+    Raises:
+        ValueError: naming the path and line number of a line that is
+            not a JSON object.
     """
     out: List[Dict[str, Any]] = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                out.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path!r} line {lineno} is not JSON ({exc.msg})"
+                ) from None
+            if not isinstance(event, dict):
+                raise ValueError(f"{path!r} line {lineno} is not a JSON object")
+            out.append(event)
     return out

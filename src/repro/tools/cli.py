@@ -12,10 +12,10 @@ Usage::
     python -m repro.tools trace diff a.jsonl b.jsonl
     python -m repro.tools trace query chaos.jsonl "type=gw.reception outcome=gateway_offline"
     python -m repro.tools trace explain chaos.jsonl 1:9:1:0
+    python -m repro.tools trace health chaos.jsonl
     python -m repro.tools regress a.jsonl b.jsonl --rel-tol 0.1
     python -m repro.tools profile fig4a
     python -m repro.tools profile chaos --seed 3 --json perf.json
-    python -m repro.tools watch --trace chaos.jsonl --once
     python -m repro.tools drill --seed 7 --max-recovery-s 2.0
     python -m repro.tools lint src tests --format json
     python -m repro.tools lint src tests --deep
@@ -28,14 +28,14 @@ observability session and exports the JSONL trace / Prometheus
 snapshot.  ``render`` draws the headline series as an ASCII chart.
 ``trace`` inspects a previously written JSONL trace (``diff`` compares
 two); ``trace query`` filters with a small ``field OP value``
-expression language, and ``trace explain`` walks one packet's causal
-chain and highlights the event that decided its outcome.  ``regress``
+expression language, ``trace explain`` walks one packet's causal
+chain and highlights the event that decided its outcome, and ``trace
+health`` renders the health dashboard of the trace's replay.  ``regress``
 compares two run artifacts against tolerances and exits non-zero on
 drift.  ``profile`` runs one experiment driver (fast settings, as
 ``render`` does) under the performance observatory
 (:mod:`repro.obs.perf`) and renders throughput, the phase table and
-cProfile hotspots — ``--json`` for the raw report.  ``watch`` renders
-the health dashboard of a trace file, re-read as it grows.
+cProfile hotspots — ``--json`` for the raw report.
 ``drill`` runs the Master failover drill
 (:func:`repro.faults.drill.run_drill`): crash the Master mid-campaign,
 recover from snapshot + journal, exit non-zero if any crash-safety
@@ -54,17 +54,17 @@ import inspect
 import json
 import os
 import sys
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from .. import experiments
 from ..lint.cli import add_lint_arguments, run_lint
 from ..obs import observe, setup_logging
+from ..obs.health import HealthMonitor
 from ..obs.manifest import Stopwatch, build_manifest
 from ..obs.recorder import load_trace
 from ..obs.regress import Tolerance, compare_runs, trace_diff
 from ..obs.timeline import render_occupancy, summarize_trace
-from .ascii_chart import bar_chart, line_chart
-from .watch import watch as run_watch
+from .ascii_chart import bar_chart, line_chart, render_dashboard
 
 __all__ = ["main", "EXPERIMENTS"]
 
@@ -237,37 +237,45 @@ def _run_observed(args, fast: bool):
     return result, manifest
 
 
-def _refuse_ambiguous_trace(path: str, command: str) -> Optional[str]:
-    """Reject input one single-trace command cannot interpret.
+def _load_one_trace(path: str) -> List[Dict[str, Any]]:
+    """The events of the single trace at ``path``.
 
-    Returns an error message for a directory or a file with several
-    manifest lines (concatenated traces); ``None`` when the path is a
-    plain single trace.
+    Raises:
+        ValueError: naming ``path`` when no ``trace`` reader can
+            interpret it: a directory, a file that cannot be read or
+            holds a line that is not a JSON object, or a file with
+            several manifest lines (concatenated traces).
     """
     if os.path.isdir(path):
-        return (
-            f"trace {command}: {path!r} is a directory — "
-            "pass the JSONL file of one run"
-        )
-    events = load_trace(path)
+        raise ValueError(f"{path!r} is a directory")
+    try:
+        events = load_trace(path)
+    except OSError as exc:
+        raise ValueError(f"{path!r} cannot be read ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"{path!r} is not UTF-8 text") from None
     manifests = sum(1 for ev in events if ev.get("type") == "manifest")
     if manifests > 1:
-        return (
-            f"trace {command}: {path!r} carries {manifests} manifests "
-            "(concatenated traces?) — their sequence numbers and sim "
-            "times restart per run; pass the JSONL file of one run"
+        raise ValueError(
+            f"{path!r} carries {manifests} manifests (concatenated "
+            "traces?), whose sequence numbers and sim times restart per run"
         )
-    return None
+    return events
 
 
 def _trace_command(args) -> int:
-    refusal = _refuse_ambiguous_trace(args.path, args.trace_command)
-    if refusal is None and args.trace_command == "diff":
-        refusal = _refuse_ambiguous_trace(args.path_b, args.trace_command)
-    if refusal is not None:
-        print(refusal, file=sys.stderr)
+    try:
+        events = _load_one_trace(args.path)
+        events_b = (
+            _load_one_trace(args.path_b) if args.trace_command == "diff" else []
+        )
+    except ValueError as exc:
+        print(
+            f"trace {args.trace_command}: {exc} — pass the JSONL file of "
+            "one run",
+            file=sys.stderr,
+        )
         return 2
-    events = load_trace(args.path)
     if args.trace_command == "query":
         from ..obs.query import QueryError, query_events
 
@@ -307,8 +315,13 @@ def _trace_command(args) -> int:
         print(render_occupancy(events, bucket_s=args.bucket_s))
         return 0
     if args.trace_command == "diff":
-        events_b = load_trace(args.path_b)
         print(json.dumps(trace_diff(events, events_b), indent=2))
+        return 0
+    if args.trace_command == "health":
+        monitor = HealthMonitor().replay(events)
+        print(
+            render_dashboard(monitor.healthz(), monitor.alerts(), source=args.path)
+        )
         return 0
     return 2
 
@@ -585,6 +598,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="also write the machine-readable chain to this file",
     )
+    health_p = trace_sub.add_parser(
+        "health", help="ASCII health dashboard of the trace's replay"
+    )
+    health_p.add_argument("path")
 
     regress_p = sub.add_parser(
         "regress",
@@ -616,34 +633,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         dest="json_path",
         default=None,
         help="write the machine-readable report to this file",
-    )
-
-    watch_p = sub.add_parser(
-        "watch", help="live ASCII health dashboard (trace tail)"
-    )
-    watch_p.add_argument(
-        "--trace",
-        dest="trace_path",
-        required=True,
-        help="tail a (growing) trace JSONL file",
-    )
-    watch_p.add_argument(
-        "--interval",
-        dest="interval_s",
-        type=float,
-        default=1.0,
-        help="refresh period in seconds",
-    )
-    watch_p.add_argument(
-        "--frames",
-        type=int,
-        default=None,
-        help="stop after N refreshes (default: until interrupted)",
-    )
-    watch_p.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (same as --frames 1)",
     )
 
     drill_p = sub.add_parser(
@@ -786,13 +775,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "regress":
         return _regress_command(args)
-
-    if args.command == "watch":
-        return run_watch(
-            trace_path=args.trace_path,
-            interval_s=args.interval_s,
-            frames=1 if args.once else args.frames,
-        )
 
     if args.command == "profile":
         return _profile_command(args)

@@ -10,6 +10,7 @@ from repro.core.master_client import MasterClient, MasterRequestError
 from repro.core.master_server import MasterServer
 from repro.core.protocol import read_message, send_message
 from repro.faults import FaultPlan, MasterCrash
+from repro.obs import observe
 
 
 class TestMasterNode:
@@ -346,3 +347,31 @@ class TestServerRobustness:
                 assert response["type"] == "error"
             finally:
                 sock.close()
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            None,
+            {"run": "worker", "trace": "6f1c0e5d2a9b8c47",
+             "span": "b3a1d9e07c5f2468", "parent": "0d4e8a7c61b25f93",
+             "lam": 500},
+            ["not", "a", "dict"],
+        ],
+        ids=["no-ctx", "v2-ctx", "garbage-ctx"],
+    )
+    def test_ctx_of_older_clients_is_ignored(self, grid_16, ctx):
+        # Clients before trace schema v3 may send a causal "ctx" key.
+        message = {"type": "status"}
+        if ctx is not None:
+            message["ctx"] = ctx
+        master = MasterNode(grid_16, expected_networks=2)
+        with observe(trace=True, metrics=False):
+            with MasterServer(master) as server:
+                sock = socket.create_connection(server.address, timeout=1.0)
+                try:
+                    send_message(sock, message)
+                    response = read_message(sock)
+                finally:
+                    sock.close()
+        assert response["type"] == "status_ok"
+        assert "ctx" not in response

@@ -101,6 +101,30 @@ class TestRecovery:
         assert held.lease == granted.lease  # lease survives re-minting
         revived.journal.close()
 
+    def test_trace_ctx_records_of_older_drills_are_skipped(
+        self, tmp_path, grid_16
+    ):
+        # Drills before trace schema v3 journaled their trace context
+        # right after the header; recovery must apply only the ops.
+        master, path = _journaled_master(tmp_path, grid_16)
+        master.journal.append(
+            {
+                "kind": "trace_ctx",
+                "ctx": {"run": "drill:7", "trace": "6f1c0e5d2a9b8c47",
+                        "span": "b3a1d9e07c5f2468", "lam": 0},
+            }
+        )
+        granted = [
+            master.register(f"op-{i}", request_id=f"r{i}") for i in range(3)
+        ]
+        master.journal.close()
+
+        revived = MasterNode.recover(path)
+        for a in granted:
+            held = revived.assignment_of(a.operator)
+            assert (held.slot, held.lease) == (a.slot, a.lease)
+        revived.journal.close()
+
     def test_recovered_state_identical_to_live(self, tmp_path, grid_16):
         master, path = _journaled_master(tmp_path, grid_16)
         master.register("op-a", request_id="r1")

@@ -128,42 +128,3 @@ class TestDrillReport:
         report.failures.append("boom")
         assert not report.passed
         assert report.to_dict()["passed"] is False
-
-
-class TestDrillTraceContinuity:
-    def test_trace_id_survives_the_crash(self, tmp_path, grid_16):
-        """The restarted Master resumes the drill's trace, not a new one."""
-        from repro.core.journal import StateJournal, find_trace_context
-        from repro.obs.causal import TraceContext
-
-        report = run_drill(
-            grid_16,
-            out_dir=str(tmp_path),
-            seed=7,
-            operators=3,
-            crash_at_request=2,
-            snapshot_after=1,
-        )
-        assert report.passed, report.failures
-        assert report.trace_id == TraceContext.root("drill:7", seed=7).trace_id
-        assert report.trace_resumed
-
-        # The context rider is durable: a cold read of the journal
-        # recovers the same trace identity the drill minted.
-        journal_path = str(tmp_path / "master-journal.jsonl")
-        wire = find_trace_context(StateJournal.replay(journal_path))
-        assert wire is not None
-        assert wire["trace"] == report.trace_id
-
-    def test_trace_rider_does_not_perturb_recovery(self, tmp_path, grid_16):
-        """MasterNode.recover ignores trace_ctx records entirely."""
-        report = run_drill(
-            grid_16,
-            out_dir=str(tmp_path),
-            seed=3,
-            operators=4,
-            crash_at_request=3,
-            snapshot_after=0,
-        )
-        assert report.passed, report.failures
-        assert report.replay_identical

@@ -41,7 +41,7 @@ def _observe(net, link, txs):
 
 def _events(session):
     return [
-        {k: v for k, v in ev.items() if k not in ("seq", "lam")}
+        {k: v for k, v in ev.items() if k != "seq"}
         for ev in session.recorder.to_dicts()
         if ev["type"] not in ("sim.run_start", "sim.run_end")
     ]

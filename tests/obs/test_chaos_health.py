@@ -17,7 +17,8 @@ from repro.experiments.chaos import CRASH_DOWN_S, CRASH_S, WINDOW_S
 from repro.obs import observe
 from repro.obs.health import HealthMonitor
 from repro.obs.recorder import load_trace
-from repro.tools.watch import TraceFollower
+from repro.tools.ascii_chart import render_dashboard
+from repro.tools.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -106,16 +107,16 @@ class TestTraceReplay:
         for live, trace in ((monitor, events), disruption_health):
             assert HealthMonitor().replay(trace).report() == live.report()
 
-    def test_one_poll_of_the_whole_trace_reports_what_replay_reports(
-        self, chaos_health, tmp_path
+    def test_trace_health_prints_the_live_monitors_dashboard(
+        self, chaos_health, tmp_path, capsys
     ):
-        _, _, events = chaos_health
+        _, monitor, events = chaos_health
         path = tmp_path / "chaos.jsonl"
         path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
-        follower = TraceFollower(str(path))
-        assert follower.poll() == len(events) - 1  # the manifest is skipped
-        replayed = HealthMonitor().replay(events)
-        assert follower.monitor.report() == replayed.report()
+        assert main(["trace", "health", str(path)]) == 0
+        assert capsys.readouterr().out == render_dashboard(
+            monitor.healthz(), monitor.alerts(), source=str(path)
+        ) + "\n"
 
     def test_partial_replay_mid_crash_is_not_ok(self, chaos_health):
         _, _, events = chaos_health

@@ -14,7 +14,7 @@ from repro.obs.query import (
 
 
 def _ev(seq, etype, t=None, **fields):
-    d = {"seq": seq, "type": etype, "lam": seq}
+    d = {"seq": seq, "type": etype}
     if t is not None:
         d["t"] = t
     d.update(fields)
@@ -125,7 +125,7 @@ class TestExplain:
             ["received", "channel_mismatch"],
             extra=[
                 {"type": "netserver.uplink", "t": 10.0, "net": 1, "node": 9,
-                 "ctr": 1, "att": 0, "lam": 99}
+                 "ctr": 1, "att": 0}
             ],
         )
         report = explain_packet(events, "1:9:1")
@@ -138,7 +138,7 @@ class TestExplain:
             ["received"],
             extra=[
                 {"type": "backhaul.drop", "t": 10.0, "net": 1, "node": 9,
-                 "ctr": 1, "att": 0, "gw": 0, "lam": 50}
+                 "ctr": 1, "att": 0, "gw": 0}
             ],
         )
         report = explain_packet(events, "1:9:1")
@@ -147,7 +147,7 @@ class TestExplain:
 
     def test_gateway_offline_decided_by_reboot(self):
         reboot = {"seq": 90, "type": "gw.reboot", "t": 8.0, "gw": 0,
-                  "reason": "crash", "lam": 40}
+                  "reason": "crash"}
         events = _packet_trace(["gateway_offline", "channel_mismatch"])
         events.append(reboot)
         report = explain_packet(events, "1:9:1")
@@ -159,6 +159,14 @@ class TestExplain:
         rendered = render_explain(report)
         assert ">>>" in rendered
         assert "deciding event: gw.reboot" in rendered
+
+    def test_v2_lam_stamp_renders_as_an_ordinary_field(self):
+        # Traces before schema v3 end every event with a "lam" stamp.
+        events = [
+            dict(ev, lam=ev["seq"]) for ev in _packet_trace(["received"])
+        ]
+        rendered = render_explain(explain_packet(events, "1:9:1"))
+        assert "outcome=received lam=1" in rendered
 
     def test_outcome_precedence_received_beats_offline(self):
         events = _packet_trace(["gateway_offline", "received"])
@@ -189,7 +197,7 @@ def _run(seq, events):
     out = [_ev(seq, "sim.run_start")]
     for ev in events:
         seq += 1
-        out.append(dict(ev, seq=seq, lam=seq))
+        out.append(dict(ev, seq=seq))
     out.append(_ev(seq + 1, "sim.run_end"))
     return out
 
@@ -219,7 +227,7 @@ class TestExplainOneRound:
 
     def test_a_packet_only_in_the_first_run_is_explained_from_it(self):
         uplink = {"seq": 5, "type": "netserver.uplink", "t": 10.0, "net": 1,
-                  "node": 9, "ctr": 1, "att": 0, "lam": 5}
+                  "node": 9, "ctr": 1, "att": 0}
         first = _run(1, [_reception(0, "received"),
                          _reception(1, "no_decoder")])
         second = _run(6, [_reboot(), _reception(0, "gateway_offline", node=4)])

@@ -78,7 +78,6 @@ class TestTraceRecorder:
             "t": 0.5,
             "gw": 1,
             "node": 2,
-            "lam": 1,
         }
 
     def test_canonical_bytes_excludes_manifest_and_wall(self):

@@ -1,11 +1,19 @@
 """Tests for the CLI and the ASCII chart renderer."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.tools.ascii_chart import bar_chart, line_chart
 from repro.tools.cli import EXPERIMENTS, main
+
+SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+    "src",
+)
 
 
 class TestAsciiCharts:
@@ -93,6 +101,28 @@ class TestCli:
         payload = json.loads(path.read_text())
         assert payload["utilization"] == {"alphawan": {"3:5": 7, "0:0": 1}}
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # More output than a pipe buffer holds, so the CLI is still
+        # writing when the reader goes away (``... | head -1``).
+        trace = tmp_path / "big.jsonl"
+        line = json.dumps({"type": "gw.lock_on", "t": 0.0, "pad": "x" * 80})
+        trace.write_text((line + "\n") * 5_000)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools", "trace", "query",
+             str(trace), "type=gw.lock_on"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
@@ -161,15 +191,25 @@ class TestCliObservability:
         event = json.dumps({"seq": 1, "type": "sim.run_start", "t": 0.0})
         concatenated = tmp_path / "two-runs.jsonl"
         concatenated.write_text("\n".join([manifest, event] * 2) + "\n")
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("\n".join([manifest, event, event[:12]]) + "\n")
+        listed = tmp_path / "listed.jsonl"
+        listed.write_text("\n".join([manifest, "[1, 2]"]) + "\n")
         for path, says in (
             (tmp_path, "is a directory"),
             (concatenated, "carries 2 manifests"),
+            (tmp_path / "absent.jsonl", "cannot be read"),
+            (torn, "line 3 is not JSON"),
+            (listed, "line 2 is not a JSON object"),
         ):
-            assert main(["trace", "summarize", str(path)]) == 2
-            err = capsys.readouterr().err
-            assert says in err
-            assert "pass the JSONL file of one run" in err
-            assert "merge" not in err
+            for command in ("summarize", "health"):
+                assert main(["trace", command, str(path)]) == 2
+                err = capsys.readouterr().err
+                assert err.count("\n") == 1
+                assert repr(str(path)) in err
+                assert says in err
+                assert "pass the JSONL file of one run" in err
+                assert "merge" not in err
 
     def test_verbosity_flags_accepted(self, capsys):
         assert main(["-v", "list"]) == 0
@@ -247,9 +287,9 @@ class TestCliHealthObservatory:
         assert main(["regress", str(a), str(a), "--tol", "oops"]) == 2
         capsys.readouterr()
 
-    def test_watch_once_renders_dashboard(self, tmp_path, capsys):
+    def test_trace_health_renders_dashboard(self, tmp_path, capsys):
         trace = self._trace(tmp_path)
-        assert main(["watch", "--trace", str(trace), "--once"]) == 0
+        assert main(["trace", "health", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "health:" in out
         assert "gw0" in out
