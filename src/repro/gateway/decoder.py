@@ -10,6 +10,7 @@ later packets are dropped: the *decoder contention problem*.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import List, NamedTuple, Optional, Tuple
 
 from ..obs import runtime as _obs
@@ -20,6 +21,9 @@ __all__ = ["DecoderLease", "DecoderPool"]
 # Decoder-occupancy histogram edges: one bucket per power-of-two pool
 # size up to the largest COTS concentrator (Table 4).
 _OCCUPANCY_BUCKETS = (0, 1, 2, 4, 8, 16, 32)
+
+# The lease of a busy-heap entry ``(release_s, seq, lease)``.
+_entry_lease = itemgetter(2)
 
 
 class DecoderLease(NamedTuple):
@@ -47,8 +51,10 @@ class DecoderPool:
         if capacity < 1:
             raise ValueError(f"decoder pool needs >= 1 decoder, got {capacity}")
         self.capacity = capacity
-        # Heap of (release_s, lease) for busy decoders.
+        # Heap of (release_s, seq, lease) for busy decoders.
         self._busy: List[Tuple[float, int, DecoderLease]] = []
+        # The busy leases as one tuple, until ``_busy`` next changes.
+        self._blockers: Optional[Tuple[DecoderLease, ...]] = None
         self._free_indices: List[int] = list(range(capacity))
         self._last_alloc_s = float("-inf")
         self._seq = 0
@@ -63,6 +69,7 @@ class DecoderPool:
         """Release every decoder whose packet has finished by ``now_s``."""
         while self._busy and self._busy[0][0] <= now_s:
             release_s, _, lease = heapq.heappop(self._busy)
+            self._blockers = None
             # Decoders above a shrunken capacity retire on release
             # instead of returning to the free list.
             if lease.decoder_index < self.capacity:
@@ -109,6 +116,22 @@ class DecoderPool:
         self._reclaim(now_s)
         return [lease for _, _, lease in self._busy]
 
+    def blockers(self, now_s: float) -> Tuple[DecoderLease, ...]:
+        """The leases :meth:`holders` lists, in its order, as one tuple.
+
+        The tuple is shared: every call until the busy set next changes
+        (a grant, a reclaim or a reset) returns the same object, so the
+        consecutive rejects that meet the same busy decoders cost one
+        snapshot.
+        """
+        busy = self._busy
+        if busy and busy[0][0] <= now_s:  # the earliest release is due
+            self._reclaim(now_s)
+        blockers = self._blockers
+        if blockers is None:
+            blockers = self._blockers = tuple(map(_entry_lease, busy))
+        return blockers
+
     def try_allocate(
         self,
         now_s: float,
@@ -133,7 +156,9 @@ class DecoderPool:
         if release_s < now_s:
             raise ValueError("release time precedes allocation time")
         self._last_alloc_s = now_s
-        self._reclaim(now_s)
+        busy = self._busy
+        if busy and busy[0][0] <= now_s:  # the earliest release is due
+            self._reclaim(now_s)
         metrics = _obs.METRICS
         if metrics is not None:
             metrics.histogram(
@@ -141,7 +166,7 @@ class DecoderPool:
                 "busy decoders at each allocation attempt",
                 buckets=_OCCUPANCY_BUCKETS,
                 gateway=self.trace_gateway_id,
-            ).observe(len(self._busy))
+            ).observe(len(busy))
         if not self._free_indices:
             self.total_rejections += 1
             if metrics is not None:
@@ -154,7 +179,8 @@ class DecoderPool:
         index = heapq.heappop(self._free_indices)
         lease = DecoderLease(index, now_s, release_s, network_id, node_id)
         self._seq += 1
-        heapq.heappush(self._busy, (release_s, self._seq, lease))
+        heapq.heappush(busy, (release_s, self._seq, lease))
+        self._blockers = None
         self.total_allocations += 1
         self.busy_time_s += release_s - now_s
         if metrics is not None:
@@ -168,6 +194,7 @@ class DecoderPool:
     def reset(self) -> None:
         """Return the pool to its initial (all-free) state."""
         self._busy.clear()
+        self._blockers = None
         self._free_indices = list(range(self.capacity))
         self._last_alloc_s = float("-inf")
         self._seq = 0

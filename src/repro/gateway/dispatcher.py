@@ -25,7 +25,9 @@ class DispatchResult(NamedTuple):
     detection: Detection
     lease: Optional[DecoderLease]
     # Snapshot of decoder holders at the rejection instant (empty when
-    # the packet was admitted); used for contention attribution.
+    # the packet was admitted); used for contention attribution.  The
+    # pool shares one snapshot among the rejects that meet the same
+    # busy decoders (:meth:`DecoderPool.blockers`).
     blockers: Tuple[DecoderLease, ...] = ()
 
     @property
@@ -63,22 +65,24 @@ class FcfsDispatcher:
                 detections,
                 key=lambda d: (d.lock_on_s, d.tx.network_id, d.tx.node_id),
             )
+        pool = self.pool
         results: List[DispatchResult] = []
         for det in ordered:
-            tx = det.tx
+            tx = det.observation.transmission
+            lock_on_s = det.lock_on_s
             blockers: Tuple[DecoderLease, ...] = ()
-            lease = self.pool.try_allocate(
-                det.lock_on_s, tx.end_s, tx.network_id, tx.node_id
+            lease = pool.try_allocate(
+                lock_on_s, tx.end_s, tx.network_id, tx.node_id
             )
             if lease is None:
-                blockers = tuple(self.pool.holders(det.lock_on_s))
+                blockers = pool.blockers(lock_on_s)
             rec = _obs.TRACE
             if rec is not None:
-                gw = self.pool.trace_gateway_id
+                gw = pool.trace_gateway_id
                 if lease is not None:
                     rec.emit(
                         EventType.DECODER_GRANT,
-                        t=det.lock_on_s,
+                        t=lock_on_s,
                         gw=gw,
                         dec=lease.decoder_index,
                         until=lease.release_s,
@@ -90,7 +94,7 @@ class FcfsDispatcher:
                 else:
                     rec.emit(
                         EventType.DECODER_REJECT,
-                        t=det.lock_on_s,
+                        t=lock_on_s,
                         gw=gw,
                         net=tx.network_id,
                         node=tx.node_id,

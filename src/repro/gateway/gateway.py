@@ -42,7 +42,7 @@ from ..phy.interference import InterfererTuple, decode_ok
 from ..phy.lora import SpreadingFactor
 from ..phy.link import Position, noise_floor_dbm
 from ..types import Observation, Transmission
-from .decoder import DecoderPool
+from .decoder import DecoderLease, DecoderPool
 from .detector import RxChannels, detect, match_rx_channel
 from .dispatcher import FcfsDispatcher
 from .models import GatewayModel, get_model
@@ -459,6 +459,13 @@ class Gateway:
         if fault_plan is not None and fault_plan.backhaul_faults:
             backhaul = (fault_plan, fault_plan.rng(f"backhaul:gw{gw_id}"))
         offline, mismatch = Outcome.GATEWAY_OFFLINE, Outcome.CHANNEL_MISMATCH
+        no_decoder = Outcome.NO_DECODER
+        # The last reject's blocker snapshot and its networks: the pool
+        # shares one snapshot until its busy set changes.
+        last_blockers: Optional[Tuple[DecoderLease, ...]] = None
+        blocker_network_ids: Tuple[int, ...] = ()
+        # The decode's noise floor per packet bandwidth.
+        noise_floors: Dict[float, float] = {}
 
         channels = self._channels
         # The front end's match for each of the run's packet channels.
@@ -528,16 +535,15 @@ class Gateway:
                 t0 = st_dispatch.begin() if st_dispatch is not None else None
                 admission = dispatch((det,))[0]
                 if admission.lease is None:
+                    blockers = admission.blockers
+                    if blockers is not last_blockers:
+                        last_blockers = blockers
+                        blocker_network_ids = tuple(
+                            map(_holder_network_id, blockers)
+                        )
                     records[p] = GatewayReception(
-                        gateway_id=gw_id,
-                        transmission=tx,
-                        outcome=Outcome.NO_DECODER,
-                        rx_channel=det.rx_channel,
-                        snr_db=det.snr_db,
-                        lock_on_s=det.lock_on_s,
-                        blocker_network_ids=tuple(
-                            map(_holder_network_id, admission.blockers)
-                        ),
+                        gw_id, tx, no_decoder, det.rx_channel, det.snr_db,
+                        det.lock_on_s, blocker_network_ids,
                     )
                 if st_dispatch is not None:
                     st_dispatch.end(t0)
@@ -550,9 +556,15 @@ class Gateway:
                     # noise threshold matters (already checked by detect).
                     ok = True
                 else:
+                    bandwidth_hz = tx.channel.bandwidth_hz
+                    noise = noise_floors.get(bandwidth_hz)
+                    if noise is None:
+                        noise = noise_floors[bandwidth_hz] = noise_floor_dbm(
+                            bandwidth_hz, noise_figure
+                        )
                     ok = decode_ok(
                         obs.rssi_dbm,
-                        noise_floor_dbm(tx.channel.bandwidth_hz, noise_figure),
+                        noise,
                         tx.sf,
                         det.rx_channel,
                         self._interferers_for(p, view),
@@ -567,13 +579,8 @@ class Gateway:
                 else:
                     outcome, backhaul_delay_s = self._backhaul(tx, *backhaul)
                 record = GatewayReception(
-                    gateway_id=gw_id,
-                    transmission=tx,
-                    outcome=outcome,
-                    rx_channel=det.rx_channel,
-                    snr_db=det.snr_db,
-                    lock_on_s=det.lock_on_s,
-                    backhaul_delay_s=backhaul_delay_s,
+                    gw_id, tx, outcome, det.rx_channel, det.snr_db,
+                    det.lock_on_s, (), backhaul_delay_s,
                 )
                 records[p] = record
                 in_flight.append((tx.end_s, p, record))

@@ -292,7 +292,12 @@ def _decide(
     receptions: List[Event],
     uplinks: List[Event],
 ) -> Tuple[str, Optional[Event]]:
-    """The packet-level outcome and the event that decided it."""
+    """The packet-level outcome and the event that decided it.
+
+    A packet is delivered when a network server ingested it, or, in a
+    round no network server ingested (a bare gateway run), when a
+    gateway received it.
+    """
     if uplinks:
         return "delivered", uplinks[-1]
     outcomes = {str(ev.get("outcome")) for ev in receptions}
@@ -303,10 +308,16 @@ def _decide(
     deciders = [ev for ev in receptions if ev.get("outcome") == outcome]
     decider = deciders[-1] if deciders else (chain[-1] if chain else None)
     if outcome in ("received", "backhaul_lost"):
-        # Decoded somewhere but never reached the server: backhaul loss.
         drops = [e for e in chain if e.get("type") == EventType.BACKHAUL_DROP]
         if drops:
             return "backhaul_lost", drops[-1]
+        if outcome == "received" and not any(
+            e.get("type") == EventType.NETSERVER_UPLINK for e in events
+        ):
+            # No network server ingested this round: the gateway's own
+            # reception is the delivery.
+            return "delivered", decider
+        # Decoded somewhere but never reached the server: backhaul loss.
         return "backhaul_lost", decider
     if outcome == "no_decoder":
         rejects = [e for e in chain if e.get("type") == EventType.DECODER_REJECT]

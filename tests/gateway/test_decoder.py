@@ -114,3 +114,65 @@ class TestPoolInvariants:
                 pool.try_allocate(t, horizon, 1, i) is not None
             )
         assert outcomes == [i < capacity for i in range(len(gaps))]
+
+
+# One step of a pool's life: an allocation ``gap`` seconds after the
+# last step, a look at the busy set ``gap`` seconds later, a resize, or
+# a reset.
+_STEPS = st.one_of(
+    st.tuples(
+        st.just("allocate"),
+        st.floats(min_value=0, max_value=1),
+        st.floats(min_value=0.01, max_value=3),
+        st.integers(min_value=1, max_value=3),
+    ),
+    st.tuples(st.just("look"), st.floats(min_value=0, max_value=1)),
+    st.tuples(st.just("resize"), st.integers(min_value=1, max_value=8)),
+    st.tuples(st.just("reset")),
+)
+
+
+class TestBlockers:
+    """``blockers`` is ``holders`` as one tuple, shared until the busy
+    set changes."""
+
+    @given(st.lists(_STEPS, max_size=80), st.integers(min_value=1, max_value=8))
+    def test_equals_holders_and_is_shared_until_the_busy_set_changes(
+        self, steps, capacity
+    ):
+        pool = DecoderPool(capacity)
+        t = 0.0
+        previous = pool.blockers(t)
+        changed = False  # a grant, reclaim or reset since ``previous``
+        for i, step in enumerate(steps):
+            if step[0] == "allocate":
+                _, gap, duration, network_id = step
+                t += gap
+                granted = pool.try_allocate(t, t + duration, network_id, i)
+                changed = changed or granted is not None
+            elif step[0] == "look":
+                t += step[1]
+            elif step[0] == "resize":
+                pool.resize(step[1])
+            else:
+                pool.reset()
+                changed = True
+            # A lease due by ``t`` has been reclaimed, or is now.
+            changed = changed or any(l.release_s <= t for l in previous)
+            blockers = pool.blockers(t)
+            assert blockers == tuple(pool.holders(t))
+            assert pool.blockers(t) is blockers  # nothing changed since
+            if not changed:
+                assert blockers is previous
+            elif blockers or previous:  # ``()`` is a single object
+                assert blockers is not previous
+            previous, changed = blockers, False
+
+    def test_a_reject_leaves_the_snapshot_shared(self):
+        pool = DecoderPool(2)
+        pool.try_allocate(0.0, 1.0, 1, 1)
+        pool.try_allocate(0.1, 1.0, 2, 2)
+        first = pool.blockers(0.2)
+        assert pool.try_allocate(0.3, 1.0, 1, 3) is None
+        assert pool.blockers(0.3) is first
+        assert [l.holder_network_id for l in first] == [1, 2]

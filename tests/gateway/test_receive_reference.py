@@ -5,7 +5,10 @@ each segment in passes.  The reference below is the loop it replaced:
 every packet first applies the events due by its lock-on, then meets
 the radio.  Both run on twin gateways over seeded random batches and
 timelines, and must agree on every record, the trace, the gateway's
-state afterwards and the phase item counts.
+state afterwards and the phase item counts.  The reference reads a
+reject's blockers off a fresh ``pool.holders`` snapshot, so the
+dispatcher's shared snapshot is checked against an independent one;
+the dense seeds make the decoders run out.
 """
 
 import math
@@ -111,10 +114,12 @@ def _reference_receive(gw, observations, timeline=(), fault_plan=None):
             st[Phase.DISPATCH].end(None)
         admission = dispatch((det,))[0]
         if admission.lease is None:
+            # A fresh snapshot, not the dispatcher's shared one.
+            holders = pool.holders(det.lock_on_s)
             records[p] = GatewayReception(
                 gw_id, tx, Outcome.NO_DECODER, det.rx_channel, det.snr_db,
                 det.lock_on_s,
-                tuple(lease.holder_network_id for lease in admission.blockers),
+                tuple(lease.holder_network_id for lease in holders),
             )
             continue
         if st:
@@ -183,6 +188,27 @@ def _batch(rng: random.Random, block, noise: float) -> List[Observation]:
     return [Observation(tx, noise + rng.uniform(-25.0, 25.0)) for tx in txs]
 
 
+def _dense_batch(rng: random.Random, channels, noise: float) -> List[Observation]:
+    """150-300 packets in 1 s on the gateway's channels, all detectable:
+    the decoders run out, and both networks hold them at the rejects."""
+    sfs = [SpreadingFactor.SF7, SpreadingFactor.SF8, SpreadingFactor.SF9,
+           SpreadingFactor.SF10]
+    txs = [
+        Transmission(
+            node_id=i,
+            network_id=rng.choice((GW_NETWORK, 2)),
+            channel=rng.choice(channels),
+            sf=rng.choice(sfs),
+            start_s=round(rng.uniform(0.0, 1.0), rng.choice((2, 3, 6))),
+            counter=rng.randrange(4),
+            attempt=rng.randrange(2),
+        )
+        for i in range(rng.randrange(150, 301))
+    ]
+    rng.shuffle(txs)
+    return [Observation(tx, noise + rng.uniform(0.0, 25.0)) for tx in txs]
+
+
 def _timeline(rng: random.Random, block, lock_ons: List[float]):
     """A time-ordered mix of every kind of event ``receive`` handles."""
     def channels():
@@ -222,13 +248,21 @@ def _timeline(rng: random.Random, block, lock_ons: List[float]):
     return events
 
 
+# Seeds from DENSE_FROM on draw dense batches (:func:`_dense_batch`).
+DENSE_FROM, SEEDS = 40, 60
+
+
 def _case(seed: int, block):
     """Seed ``seed``'s batch, timeline and fault plan (seed 0: an empty
     batch with an event)."""
     if seed == 0:
         return [], [TimelineEvent(0.5, tuple(block[4:]), 1.0, True)], None
     rng = random.Random(seed)
-    observations = _batch(rng, block, noise_floor_dbm(125_000.0, 6.0))
+    noise = noise_floor_dbm(125_000.0, 6.0)
+    if seed >= DENSE_FROM:
+        observations = _dense_batch(rng, block[:8], noise)
+    else:
+        observations = _batch(rng, block, noise)
     lock_ons = [obs.transmission.lock_on_s for obs in observations]
     timeline = _timeline(rng, block, lock_ons)
     plan = None
@@ -256,7 +290,7 @@ def _run(receive, gw, observations, timeline, plan):
     return records, session.recorder.canonical_bytes(), state, items
 
 
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(SEEDS))
 def test_receive_matches_the_per_packet_loop(seed, grid_48):
     block = grid_48.channels()[:12]
     first = tuple(block[:8])
@@ -275,13 +309,25 @@ def test_receive_matches_the_per_packet_loop(seed, grid_48):
 
 
 def test_the_random_timelines_reach_every_case(grid_48):
-    """The seeds above meet every outcome, reboots and resizes."""
+    """The seeds above meet every outcome, reboots and resizes, and the
+    dense ones real decoder contention: many rejects, most blocked by
+    both networks, behind many distinct sets of busy decoders."""
     block = grid_48.channels()[:12]
     outcomes, reboots, resized = set(), 0, 0
-    for seed in range(1, 40):
+    blocked: List[Tuple[int, ...]] = []
+    for seed in range(1, SEEDS):
         gw = Gateway(0, GW_NETWORK, Position(0.0, 0.0), tuple(block[:8]))
-        outcomes |= {r.outcome for r in gw.receive(*_case(seed, block))}
+        records = gw.receive(*_case(seed, block))
+        outcomes |= {r.outcome for r in records}
         reboots += gw.reboots
         resized += gw.pool.capacity != gw.model.decoders
+        blocked += [
+            r.blocker_network_ids for r in records
+            if r.outcome is Outcome.NO_DECODER
+        ]
     assert outcomes == set(Outcome)
     assert reboots > 0 and resized > 0
+    # 452 rejects, 422 with both networks, 161 distinct tuples.
+    assert len(blocked) >= 400
+    assert sum({GW_NETWORK, 2} <= set(ids) for ids in blocked) >= 400
+    assert len(set(blocked)) >= 150

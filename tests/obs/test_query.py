@@ -169,11 +169,30 @@ class TestExplain:
         assert "outcome=received lam=1" in rendered
 
     def test_outcome_precedence_received_beats_offline(self):
-        events = _packet_trace(["gateway_offline", "received"])
-        # No uplink and no backhaul.drop recorded: a decoded packet that
-        # never reached the server is attributed to the backhaul.
+        # The server ingested another packet but not this one, and no
+        # backhaul.drop is recorded: a decoded packet that never reached
+        # the server is attributed to the backhaul.
+        events = _packet_trace(
+            ["gateway_offline", "received"],
+            extra=[
+                {"type": "netserver.uplink", "t": 10.0, "net": 1, "node": 4,
+                 "ctr": 1, "att": 0}
+            ],
+        )
         report = explain_packet(events, "1:9:1")
         assert report["outcome"] == "backhaul_lost"
+
+    def test_received_without_a_network_server_is_delivered(self):
+        # No netserver.uplink anywhere in the round: a bare gateway run,
+        # where the gateway's reception is the delivery.
+        events = _packet_trace(["received", "channel_mismatch"])
+        report = explain_packet(events, "1:9:1")
+        assert report["outcome"] == "delivered"
+        assert report["deciding"] is events[0]
+        assert report["deciding_index"] == 0
+        # The last received reception decides.
+        events = _packet_trace(["received", "channel_mismatch", "received"])
+        assert explain_packet(events, "1:9:1")["deciding"] is events[2]
 
     def test_final_attempt_wins(self):
         events = [
